@@ -22,6 +22,7 @@ from typing import List, Optional
 
 from repro.core import perfstats, results_io
 from repro.core.benchmark import build_chipvqa, build_chipvqa_challenge
+from repro.core.engine import build_driver
 from repro.core.harness import EvaluationHarness, run_table2
 from repro.core.pipeline import PREFETCH_BUILDERS
 from repro.core.question import Category
@@ -231,7 +232,8 @@ def _breaker_from_args(args: argparse.Namespace):
 
 
 def _build_runner(args: argparse.Namespace, harness):
-    """Resolve the sweep's execution engine from the CLI flags.
+    """Check the execution flags, then resolve them to a driver through
+    :func:`~repro.core.engine.build_driver`.
 
     ``--nodes N`` (N > 1) builds a fault-tolerant
     :class:`~repro.core.coordinator.SweepCoordinator` fleet — inline
@@ -243,7 +245,6 @@ def _build_runner(args: argparse.Namespace, harness):
     fleet runs one unit per node.
     """
     from repro.core.resilience import QuarantinePolicy
-    from repro.core.runner import ParallelRunner
 
     quarantine = QuarantinePolicy() if args.quarantine else None
     breaker = _breaker_from_args(args)
@@ -264,29 +265,16 @@ def _build_runner(args: argparse.Namespace, harness):
                 "--nodes runs inline nodes by default or process-group "
                 "nodes under --backend process; thread/async backends "
                 "and their scheduling knobs do not apply to a fleet")
-    if nodes > 1:
-        from repro.core.coordinator import SweepCoordinator
-
-        return SweepCoordinator(
-            nodes=nodes,
-            harness=harness,
-            node_backend=("process" if args.backend == "process"
-                          else "inline"),
-            run_dir=args.run_dir,
-            resume=not args.no_resume,
-            quarantine=quarantine,
-            breaker=breaker,
-            deadline_s=args.deadline,
-            spill_dir=args.spill_dir)
-    return ParallelRunner(
-        harness=harness,
+    return build_driver(
+        harness,
         workers=_effective_workers(args.workers, args.backend),
+        nodes=nodes,
+        backend=_build_backend(args),
         run_dir=args.run_dir,
         resume=not args.no_resume,
         quarantine=quarantine,
         breaker=breaker,
         deadline_s=args.deadline,
-        backend=_build_backend(args),
         spill_dir=args.spill_dir)
 
 
@@ -511,11 +499,16 @@ def _cmd_table2_scaled(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_scaled(args: argparse.Namespace) -> bool:
+    """Does this ``table2`` invocation take the scaled streaming path?"""
+    return (args.limit is not None or args.dataset_seed is not None
+            or args.samples != 1)
+
+
 def _cmd_table2(args: argparse.Namespace) -> int:
     if getattr(args, "service", None):
         return _cmd_table2_service(args)
-    if (args.limit is not None or args.dataset_seed is not None
-            or args.samples != 1):
+    if _is_scaled(args):
         return _cmd_table2_scaled(args)
     if getattr(args, "prefetch", None) is not None:
         raise SystemExit(
@@ -583,12 +576,10 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolution(args: argparse.Namespace) -> int:
-    from repro.core.runner import ParallelRunner
-
     harness = EvaluationHarness()
     category = _category_by_short(args.category)
-    runner = ParallelRunner(
-        harness=harness,
+    runner = build_driver(
+        harness,
         workers=_effective_workers(args.workers, args.backend),
         backend=args.backend)
     study = harness.resolution_study(
@@ -908,10 +899,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_model_names(parser: argparse.ArgumentParser,
+                       args: argparse.Namespace) -> None:
+    """Reject unknown model names as a usage error (exit status 2),
+    against the lookup the command then uses: provider registry names
+    on the scaled ``table2`` path, the zoo everywhere else.  A served
+    ``table2`` is left to the server's own registry check."""
+    command = args.command
+    if command == "table2" and not args.service:
+        names = args.models or []
+    elif command in ("resolution", "evaluate"):
+        names = [args.model]
+    elif command == "compare":
+        names = [args.model_a, args.model_b]
+    else:
+        return
+    if command == "table2" and _is_scaled(args):
+        from repro.models.providers import provider_names
+
+        known = provider_names()
+    else:
+        known = sorted(_ZOO_SPECS)
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        parser.error(f"unknown model(s) {', '.join(unknown)}; "
+                     f"known: {', '.join(known)}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_model_names(parser, args)
     return args.func(args)
 
 

@@ -60,6 +60,7 @@ from repro.core.engine import EvalEngine, payload_digest
 from repro.core.faults import (
     CompositeBoundary,
     FaultBoundary,
+    FileHeartbeatBoundary,
     HeartbeatBoundary,
     NodeKilled,
 )
@@ -397,12 +398,7 @@ class ResultStore:
                 self.misses += 1
             return None
         try:
-            result = results_io.loads(payload)
-            if (result.model_name != unit.provider.name
-                    or result.dataset_name != unit.dataset.name
-                    or result.setting != unit.setting
-                    or result.resolution_factor != unit.resolution_factor
-                    or len(result.records) != len(unit.dataset)):
+            if not EvalEngine.matches(results_io.loads(payload), unit):
                 raise ValueError("stored result does not match the unit")
             if (expected_sha256 is not None
                     and payload_digest(payload) != expected_sha256):
@@ -627,23 +623,21 @@ class SweepCoordinator:
             raise ValueError("lease_s must be > 0")
         if poll_interval <= 0:
             raise ValueError("poll_interval must be > 0")
-        if harness is None:
-            from repro.core.harness import EvaluationHarness
-            harness = EvaluationHarness()
-        self.harness = harness
         self.nodes = nodes
         self.node_backend = node_backend
-        self.retry = retry or RetryPolicy()
-        self.fault_boundary = fault_boundary
-        #: the artifact/accounting core; per-run commit log and shared
-        #: store are attached to it by :meth:`run`, and the admission
-        #: views below keep it the single source of truth.
+        #: the unit-lifecycle and artifact core: it holds the attempt-loop
+        #: configuration shipped to every node, runs admission and the
+        #: completion epilogue, and carries the per-run commit log and
+        #: shared store that :meth:`run` attaches.
         self.engine = EvalEngine(
             run_dir=run_dir, resume=resume,
             checkpoint_writer=checkpoint_writer,
             admission=AdmissionPolicy(
                 breaker=breaker, quarantine=quarantine,
-                deadline_s=deadline_s))
+                deadline_s=deadline_s),
+            harness=harness, retry=retry, fault_boundary=fault_boundary)
+        self.engine.manifest_extra = lambda: {
+            "coordinator": self._snapshot_counters()}
         self.lease_s = lease_s
         self.heartbeat_timeout_s = (heartbeat_timeout_s
                                     if heartbeat_timeout_s is not None
@@ -664,71 +658,14 @@ class SweepCoordinator:
         self._terminal: Set[str] = set()
         self._target: Set[str] = set()
         self._by_id: Dict[str, WorkUnit] = {}
-        self._all_units: Sequence[WorkUnit] = ()
         self._lease = LeaseTable(lease_s)
         self._done = threading.Event()
-        self._store: Optional[ResultStore] = None
         self._fleet: List[Node] = []
 
     @property
     def workers(self) -> int:
         """Fleet width — what sweep windowing sizes itself against."""
         return self.nodes
-
-    # -- engine views (one source of truth: the EvalEngine) ------------------
-
-    @property
-    def admission(self) -> AdmissionPolicy:
-        return self.engine.admission
-
-    @property
-    def run_dir(self) -> Optional[Path]:
-        return self.engine.run_dir
-
-    @run_dir.setter
-    def run_dir(self, value: "Optional[Path | str]") -> None:
-        self.engine.run_dir = Path(value) if value is not None else None
-
-    @property
-    def resume(self) -> bool:
-        return self.engine.resume
-
-    @resume.setter
-    def resume(self, value: bool) -> None:
-        self.engine.resume = value
-
-    @property
-    def breaker(self) -> Optional[CircuitBreaker]:
-        return self.engine.admission.breaker
-
-    @breaker.setter
-    def breaker(self, value: Optional[CircuitBreaker]) -> None:
-        self.engine.admission.breaker = value
-
-    @property
-    def quarantine(self) -> Optional[QuarantinePolicy]:
-        return self.engine.admission.quarantine
-
-    @quarantine.setter
-    def quarantine(self, value: Optional[QuarantinePolicy]) -> None:
-        self.engine.admission.quarantine = value
-
-    @property
-    def deadline_s(self) -> Optional[float]:
-        return self.engine.admission.deadline_s
-
-    @deadline_s.setter
-    def deadline_s(self, value: Optional[float]) -> None:
-        self.engine.admission.deadline_s = value
-
-    @property
-    def _checkpoint_writer(self) -> Callable[[Path, str], None]:
-        return self.engine.checkpoint_writer
-
-    @_checkpoint_writer.setter
-    def _checkpoint_writer(self,
-                           value: Callable[[Path, str], None]) -> None:
-        self.engine.checkpoint_writer = value
 
     # -- public API ----------------------------------------------------------
 
@@ -737,20 +674,15 @@ class SweepCoordinator:
         (they land in ``outcome.failures``), but a chaos crash escaping
         a node — like a real ``kill -9`` of the coordinator — does."""
         units = list(units)
-        ids = [unit.unit_id for unit in units]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate unit ids in {ids}")
         stats = RunStats()
         self.last_stats = stats
-        if self.run_dir is not None:
-            self.run_dir.mkdir(parents=True, exist_ok=True)
-            log = CommitLog.open(self.run_dir / COMMIT_LOG_NAME,
-                                 fresh=not self.resume)
+        engine = self.engine
+        if engine.run_dir is not None:
+            engine.run_dir.mkdir(parents=True, exist_ok=True)
+            log = CommitLog.open(engine.run_dir / COMMIT_LOG_NAME,
+                                 fresh=not engine.resume)
         else:
             log = CommitLog()
-        store = (ResultStore(self.store_dir)
-                 if self.store_dir is not None else None)
-        self._store = store
         self._fatal = None
         self._counters = {
             "nodes": self.nodes,
@@ -761,36 +693,32 @@ class SweepCoordinator:
             "late_results": 0,
             "commit_repairs": log.repaired,
         }
-        self._all_units = units
         self._by_id = {unit.unit_id: unit for unit in units}
-        self.engine.commit_log = log
-        self.engine.store = store
-        collected, pending = self.engine.prepare(units, stats)
+        engine.commit_log = log
+        engine.store = (ResultStore(self.store_dir)
+                        if self.store_dir is not None else None)
+        collected, pending = engine.prepare(units, stats)
         specs = {unit.unit_id: executor_mod.spec_for(unit)
                  for unit in pending}
         if self.spill_dir is not None:
             perfstats.enable_spill(self.spill_dir)
         try:
             if pending:
-                self._run_fleet(pending, specs, units, stats, collected,
-                                log, store)
+                self._run_fleet(pending, specs, units, stats, collected)
         finally:
             if self.spill_dir is not None:
                 perfstats.disable_spill()
         if self._fatal is not None:
             raise self._fatal
         stats.record_coordinator(self._snapshot_counters())
-        return self.engine.finalize(
-            units, stats, collected,
-            extra={"coordinator": self._snapshot_counters()})
+        return engine.finalize(units, stats, collected)
 
     # -- fleet machinery -----------------------------------------------------
 
     def _run_fleet(self, pending: List[WorkUnit],
                    specs: Dict[str, executor_mod.UnitSpec],
                    all_units: Sequence[WorkUnit], stats: RunStats,
-                   collected: Dict[str, EvalResult],
-                   log: CommitLog, store: Optional[ResultStore]) -> None:
+                   collected: Dict[str, EvalResult]) -> None:
         """Spawn the fleet, monitor leases/heartbeats, join the healthy."""
         self._queue = deque(pending)
         self._terminal = set()
@@ -799,8 +727,8 @@ class SweepCoordinator:
         self._done = threading.Event()
         hb_dir: Optional[Path] = None
         if self.node_backend == "process":
-            hb_dir = (self.run_dir / ".heartbeats"
-                      if self.run_dir is not None
+            run_dir = self.engine.run_dir
+            hb_dir = (run_dir / ".heartbeats" if run_dir is not None
                       else Path(tempfile.mkdtemp(prefix="repro-hb-")))
             hb_dir.mkdir(parents=True, exist_ok=True)
         fleet = [
@@ -817,7 +745,7 @@ class SweepCoordinator:
         threads = [
             threading.Thread(
                 target=self._node_loop,
-                args=(node, specs, all_units, stats, collected, log, store),
+                args=(node, specs, all_units, stats, collected),
                 name=node.node_id, daemon=True)
             for node in fleet
         ]
@@ -911,39 +839,38 @@ class SweepCoordinator:
             self._lease.renew_node(node.node_id, now)
 
     def _node_options(self, node: Node) -> executor_mod.WorkerOptions:
-        """Per-node worker options: heartbeat wiring differs by mode."""
-        boundary = self.fault_boundary
-        heartbeat_file: Optional[str] = None
+        """Per-node worker options: the node's heartbeat leads its fault
+        boundary, so it registers as alive even on crossings where the
+        user boundary raises.  Inline nodes beat in-thread; process
+        nodes touch their heartbeat file and attach the spill tier in
+        the worker."""
+        engine = self.engine
         spill_root: Optional[str] = None
+        heartbeat: FaultBoundary
         if node.mode == "inline":
-            # heartbeat first in the chain: the node must register as
-            # alive even on crossings where the user boundary raises
             heartbeat = HeartbeatBoundary(
                 lambda node=node: self._on_beat(node))
-            boundary = (CompositeBoundary(heartbeat, boundary)
-                        if boundary is not None else heartbeat)
         else:
-            if node.heartbeat_path is not None:
-                heartbeat_file = str(node.heartbeat_path)
+            heartbeat = FileHeartbeatBoundary(str(node.heartbeat_path))
             if self.spill_dir is not None:
                 spill_root = str(self.spill_dir)
+        boundary = engine.fault_boundary
         return executor_mod.WorkerOptions(
-            harness=self.harness,
-            retry=self.retry,
-            fault_boundary=boundary,
-            quarantine=self.quarantine,
-            deadline_s=self.deadline_s,
+            harness=engine.harness,
+            retry=engine.retry,
+            fault_boundary=(CompositeBoundary(heartbeat, boundary)
+                            if boundary is not None else heartbeat),
+            quarantine=engine.admission.quarantine,
+            deadline_s=engine.admission.deadline_s,
             spill_root=spill_root,
-            heartbeat_file=heartbeat_file,
         )
 
     def _node_loop(self, node: Node, specs: Dict[str, executor_mod.UnitSpec],
                    all_units: Sequence[WorkUnit], stats: RunStats,
-                   collected: Dict[str, EvalResult],
-                   log: CommitLog, store: Optional[ResultStore]) -> None:
+                   collected: Dict[str, EvalResult]) -> None:
         """One node's life: acquire → execute → commit, until drained."""
         while True:
-            unit = self._acquire_unit(node, stats)
+            unit = self._acquire_unit(node, all_units, stats)
             if unit is None:
                 break
             try:
@@ -964,14 +891,14 @@ class SweepCoordinator:
                 break
             try:
                 self._complete(node, unit, outcome, stats, all_units,
-                               collected, log, store)
+                               collected)
             except BaseException as exc:
                 # includes SimulatedCrash from a chaos checkpoint writer
                 # and CommitConflict — both must escape the run
                 self._record_fatal(exc)
                 break
 
-    def _acquire_unit(self, node: Node,
+    def _acquire_unit(self, node: Node, all_units: Sequence[WorkUnit],
                       stats: RunStats) -> Optional[WorkUnit]:
         """Pull the next unit under a fresh lease (None = drained)."""
         while True:
@@ -989,10 +916,7 @@ class SweepCoordinator:
                     if unit_id in self._terminal:
                         continue
                     unit_stats = stats.unit(unit_id)
-                    refusal = self.admission.refuse_unit(
-                        unit.provider.name)
-                    if refusal is not None:
-                        self.engine.fast_fail(unit_stats, refusal)
+                    if not self.engine.admit(unit, unit_stats):
                         unit_stats.node = node.node_id
                         self._terminal.add(unit_id)
                         fast_failed = True
@@ -1004,83 +928,48 @@ class SweepCoordinator:
                         node.begin(unit_id, now)
                         return unit
             if fast_failed:
-                self._write_manifest(self._all_units, stats)
+                self.engine.write_manifest(all_units, stats)
                 continue
             self._sleep(self.poll_interval)
 
     def _complete(self, node: Node, unit: WorkUnit,
                   outcome: executor_mod.WorkerResult, stats: RunStats,
                   all_units: Sequence[WorkUnit],
-                  collected: Dict[str, EvalResult],
-                  log: CommitLog, store: Optional[ResultStore]) -> None:
-        """Commit one node's finished unit with exactly-once accounting."""
+                  collected: Dict[str, EvalResult]) -> None:
+        """Release the lease and gate late results; a unit's first
+        result goes through the engine's completion epilogue, which
+        commits it exactly once."""
         unit_id = unit.unit_id
-        unit_stats = stats.unit(unit_id)
-        model_key = unit.provider.name
         with self._lock:
             was_terminal = unit_id in self._terminal
             self._lease.release(unit_id, node.node_id)
             node.finish(self._clock())
-        if outcome.status == "completed" and outcome.payload is not None:
-            digest = payload_digest(outcome.payload)
-            if was_terminal:
-                # the original owner of a stolen unit finished late:
-                # dedup at commit time, never double-append
-                if log.committed(unit_id) is None:
-                    with self._lock:
-                        self._counters["late_results"] += 1
-                elif log.commit(unit_id, digest, node.node_id) == "duplicate":
-                    with self._lock:
-                        self._counters["duplicate_commits"] += 1
-                return
-            # serialize-once: the digest computed for the dedup gate
-            # above is the one the store and commit log record
-            if (self.engine.commit_payload(unit, outcome.payload,
-                                           node.node_id,
-                                           digest=digest) == "duplicate"):
+        if was_terminal:
+            # the original owner of a stolen unit finished late: dedup
+            # at commit time, never double-append (a divergent payload
+            # raises CommitConflict)
+            log = self.engine.commit_log
+            counter = "late_results"
+            if (outcome.payload is not None
+                    and log.committed(unit_id) is not None):
+                log.commit(unit_id, payload_digest(outcome.payload),
+                           node.node_id)
+                counter = "duplicate_commits"
+            with self._lock:
+                self._counters[counter] += 1
+            return
+        if node.mode == "process":
+            # inline nodes share our counters; absorbing them too
+            # would double-count
+            stats.absorb_perf_caches(outcome.perf_delta)
+        status = self.engine.complete(unit, all_units, stats, collected,
+                                      outcome, node=node.node_id)
+        with self._lock:
+            if status == "duplicate":
                 # committed before (log survived, checkpoint did not):
                 # the rebuild reproduced the committed bytes
-                with self._lock:
-                    self._counters["duplicate_commits"] += 1
-            unit_stats.attempts = outcome.attempts
-            unit_stats.retries = outcome.retries
-            unit_stats.cache_hits = outcome.cache_hits
-            unit_stats.cache_misses = outcome.cache_misses
-            unit_stats.quarantined = outcome.quarantined
-            unit_stats.wall_time_s = outcome.wall_time_s
-            unit_stats.status = "completed"
-            unit_stats.node = node.node_id
-            if node.mode == "process":
-                # inline nodes share our counters; absorbing them too
-                # would double-count
-                stats.absorb_perf_caches(outcome.perf_delta)
-            result = results_io.loads(outcome.payload)
-            EvalEngine.attach_telemetry(
-                result, unit_stats, outcome.perf_delta)
-            collected[unit_id] = result
-            self.admission.record_success(model_key)
-            self.engine.unit_completed(unit, result,
-                                       payload=outcome.payload)
-            with self._lock:
-                self._terminal.add(unit_id)
-        else:
-            if was_terminal:
-                with self._lock:
-                    self._counters["late_results"] += 1
-                return
-            unit_stats.attempts = outcome.attempts
-            unit_stats.retries = outcome.retries
-            unit_stats.wall_time_s = outcome.wall_time_s
-            unit_stats.status = outcome.status
-            unit_stats.error = outcome.error
-            unit_stats.node = node.node_id
-            if node.mode == "process":
-                stats.absorb_perf_caches(outcome.perf_delta)
-            self.admission.record_failure(
-                model_key, unit_stats.error or "node failure")
-            with self._lock:
-                self._terminal.add(unit_id)
-        self._write_manifest(all_units, stats)
+                self._counters["duplicate_commits"] += 1
+            self._terminal.add(unit_id)
 
     # -- artifacts -----------------------------------------------------------
 
@@ -1088,13 +977,6 @@ class SweepCoordinator:
         """Fleet + store counters for stats, manifest and CLI."""
         with self._lock:
             data = dict(self._counters)
-        if self._store is not None:
-            data.update(self._store.counters())
+        if self.engine.store is not None:
+            data.update(self.engine.store.counters())
         return data
-
-    def _write_manifest(self, units: Sequence[WorkUnit],
-                        stats: RunStats) -> None:
-        """Runner-compatible manifest plus a ``coordinator`` block."""
-        self.engine.write_manifest(
-            units, stats,
-            extra={"coordinator": self._snapshot_counters()})

@@ -1,62 +1,80 @@
 """The shared evaluation-engine core behind every execution driver.
 
-Before this module existed, the artifact/accounting logic of a run —
-resume scanning, checkpoint writing, manifest assembly, telemetry
-attachment, breaker fast-fail bookkeeping, exactly-once commit
-reconciliation — was entangled across
-:class:`~repro.core.runner.ParallelRunner`,
-:class:`~repro.core.coordinator.SweepCoordinator` and
-:func:`~repro.core.sweep.run_scaled_table2`, each carrying a
-near-duplicate copy.  :class:`EvalEngine` extracts that core into one
-submit-units/collect-results surface:
+:class:`EvalEngine` owns one work unit's whole lifecycle and the run
+artifacts around it:
 
 * :meth:`prepare` — validate the unit list, create the run directory,
   and resume every recoverable unit (checkpoints, and — when the
   engine carries a commit log / shared store — reconciled against the
   exactly-once accounting);
-* :meth:`checkpoint` / :meth:`commit_payload` — the canonical artifact
-  writes (atomic, injectable for the chaos harness), with commit-log
-  dedup when configured;
-* :meth:`attach_telemetry`, :meth:`fast_fail`, :meth:`write_manifest`
-  — the per-unit epilogue every driver shares, byte-identical across
-  backends and fleets;
+* :meth:`admit` — the admission prologue: the
+  :class:`~repro.core.resilience.AdmissionPolicy` refuses a unit
+  (open breaker, cancelled job) and the refusal becomes its
+  ``fast_failed`` terminal state;
+* :meth:`evaluate` / :meth:`evaluate_async` — the attempt loop: retry
+  with backoff, run-cache lookup, the one whole-unit provider call and
+  judge-or-quarantine, classified into a
+  :class:`~repro.core.executor.WorkerResult`.  The loop is written
+  once, as a generator that yields its provider call and its backoff
+  sleeps; the two drivers differ only in how they serve those;
+* :meth:`complete` — the completion epilogue: counters folded into
+  the unit's stats, the checkpoint written (or committed through the
+  commit log), telemetry attached, the breaker told, the payload
+  streamed, the progress manifest written;
 * :meth:`finalize` — perf-counter snapshot, final manifest, and the
   ordered :class:`~repro.core.runner.RunOutcome`.
 
-Drivers — the thread/process/async ``ParallelRunner``, the multi-node
-``SweepCoordinator``, and the evaluation service's job executor
-(:mod:`repro.service.jobs`) — own *scheduling* only: how pending units
-reach :meth:`~repro.core.runner.ParallelRunner.evaluate_unit`.
-Everything the artifacts are made of flows through here, which is what
-keeps the golden Table II digest byte-identical whichever driver ran
-the sweep.
-
-Admission (circuit breaking, cancellation, per-tenant deadlines,
-queue rejection) is delegated to a
-:class:`~repro.core.resilience.AdmissionPolicy`; the optional
-``on_unit_complete`` hook streams each completed unit's result to an
-observer (the service's stream-results endpoint) without touching the
-artifact path.
+Drivers — the serial/thread/async/process ``ParallelRunner``, the
+multi-node ``SweepCoordinator``, and the evaluation service's job
+executor (:mod:`repro.service.jobs`) — own *scheduling* only: which
+thread, coroutine, process or node runs a unit, and when.  Everything
+the artifacts and the per-unit accounting are made of flows through
+here, which is what keeps the golden Table II digest byte-identical
+whichever driver ran the sweep.
 """
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import threading
+import time
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional,
+    Sequence, Tuple, cast,
 )
 
 from repro.core import perfstats, results_io
+from repro.core.executor import WorkerResult
+from repro.core.faults import (
+    ModelCallError,
+    PermanentError,
+    TransientModelError,
+)
 from repro.core.metrics import EvalResult
-from repro.core.resilience import AdmissionPolicy
+from repro.core.question import Category, Question
+from repro.core.resilience import (
+    AdmissionPolicy,
+    Deadline,
+    DeadlineExceeded,
+    Watchdog,
+    quarantined_record,
+)
+from repro.core.runcache import RunCache, cohort_digest, question_key
 
 if TYPE_CHECKING:  # driver types only; engine never schedules
+    from repro.core.faults import FaultBoundary
+    from repro.core.harness import EvaluationHarness
     from repro.core.runner import (
-        RunOutcome, RunStats, UnitStats, WorkUnit,
+        RetryPolicy, RunOutcome, RunStats, UnitStats, WorkUnit,
     )
+    from repro.models.providers import AsyncCallScheduler
+
+#: The per-unit counters an outcome carries into the unit's stats.
+OUTCOME_COUNTERS = ("attempts", "retries", "cache_hits", "cache_misses",
+                    "quarantined", "worker_respawns", "wall_time_s")
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT_VERSION = 1
@@ -71,13 +89,17 @@ def payload_digest(payload: str) -> str:
 
 
 class EvalEngine:
-    """Artifact, resume and accounting core shared by all drivers.
+    """Unit-lifecycle, artifact, resume and accounting core shared by
+    all drivers.
 
-    One engine serves one driver; per-run state (commit log, shared
-    store) is attached by the driver before :meth:`prepare` and read
-    by the resume/commit paths.  ``checkpoint_writer`` defaults to the
-    atomic write-then-rename and is injectable so the chaos harness
-    can tear writes at exactly the artifact boundary.
+    One engine serves one driver.  ``harness``, ``cache``, ``retry``,
+    ``fault_boundary``, ``sleep`` and ``clock`` configure the attempt
+    loop; per-run state (commit log, shared store, extra manifest
+    blocks) is attached by coordinated drivers before :meth:`prepare`
+    and read by the resume/commit/manifest paths.
+    ``checkpoint_writer`` defaults to the atomic write-then-rename and
+    is injectable so the chaos harness can tear writes at exactly the
+    artifact boundary.
     """
 
     def __init__(
@@ -86,27 +108,46 @@ class EvalEngine:
         resume: bool = True,
         checkpoint_writer: Optional[Callable[[Path, str], None]] = None,
         admission: Optional[AdmissionPolicy] = None,
-        on_unit_complete: Optional[
-            Callable[["WorkUnit", EvalResult], None]] = None,
         on_unit_payload: Optional[
             Callable[["WorkUnit", str], None]] = None,
+        harness: "Optional[EvaluationHarness]" = None,
+        cache: Optional[RunCache] = None,
+        retry: "Optional[RetryPolicy]" = None,
+        fault_boundary: "Optional[FaultBoundary]" = None,
+        sleep: Callable[[float], None] = time.sleep,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        if harness is None:
+            from repro.core.harness import EvaluationHarness
+            harness = EvaluationHarness()
+        if retry is None:
+            from repro.core.runner import RetryPolicy
+            retry = RetryPolicy()
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.resume = resume
         self.checkpoint_writer = (checkpoint_writer
                                   or results_io.atomic_write_text)
         self.admission = admission or AdmissionPolicy()
-        self.on_unit_complete = on_unit_complete
         #: byte-level completion hook: receives each unit's canonical
         #: checkpoint payload verbatim (serialize-once; the service's
         #: result stream attaches here)
         self.on_unit_payload = on_unit_payload
+        self.harness = harness
+        self.cache = cache if cache is not None else RunCache()
+        self.retry = retry
+        self.fault_boundary = fault_boundary
+        self.sleep = sleep
+        self.clock = clock
         #: exactly-once accounting, attached per run by coordinated
         #: drivers (duck-typed: ``committed(unit_id)`` / ``commit``)
-        self.commit_log = None
+        self.commit_log: Any = None
         #: shared cross-node result tier, attached per run (duck-typed:
         #: ``get(unit, expected_sha256)`` / ``put(unit, payload)``)
-        self.store = None
+        self.store: Any = None
+        #: extra top-level manifest blocks, attached by coordinated
+        #: drivers (the coordinator's live fleet counters)
+        self.manifest_extra: Optional[
+            Callable[[], Dict[str, object]]] = None
         self._manifest_lock = threading.Lock()
 
     # -- canonical forms -----------------------------------------------------
@@ -149,7 +190,7 @@ class EvalEngine:
 
         Returns ``(collected, pending)``: results recovered without
         re-evaluation (marked ``resumed`` in the stats, streamed to
-        ``on_unit_complete``) and the units the driver must execute.
+        ``on_unit_payload``) and the units the driver must execute.
         """
         ids = [unit.unit_id for unit in units]
         if len(set(ids)) != len(ids):
@@ -165,7 +206,7 @@ class EvalEngine:
                 unit_stats.status = "resumed"
                 resumed.telemetry = {"resumed": 1.0}
                 collected[unit.unit_id] = resumed
-                self.unit_completed(unit, resumed)
+                self._stream(unit, resumed)
             else:
                 pending.append(unit)
         return collected, pending
@@ -229,12 +270,8 @@ class EvalEngine:
     def checkpoint(self, unit: "WorkUnit", result: EvalResult) -> None:
         """Write ``unit``'s canonical checkpoint (no-op without a run
         dir); the writer is atomic by default and chaos-injectable."""
-        path = self.checkpoint_path(unit)
-        if path is None:
-            return
-        payload = self.canonical_payload(result)
-        with perfstats.stage("commit"):
-            self.checkpoint_writer(path, payload)
+        if self.run_dir is not None:
+            self.checkpoint_bytes(unit, self.canonical_payload(result))
 
     def checkpoint_bytes(self, unit: "WorkUnit", payload: str) -> None:
         """Write an already-serialized checkpoint payload verbatim."""
@@ -252,9 +289,9 @@ class EvalEngine:
         ``"untracked"`` when no log is attached).
 
         ``digest`` is the payload's sha256 when the caller already
-        computed it (the coordinator's dedup gate does); it is computed
-        here exactly once otherwise and carried verbatim into the store
-        and the commit log — no tier re-hashes the bytes.
+        computed it; it is computed here exactly once otherwise and
+        carried verbatim into the store and the commit log — no tier
+        re-hashes the bytes.
 
         The exactly-once gate lives in the log: a re-executed unit
         whose bytes match the committed digest is a counted duplicate,
@@ -273,7 +310,246 @@ class EvalEngine:
                 return "untracked"
             return self.commit_log.commit(unit.unit_id, digest, node)
 
-    # -- per-unit epilogue ---------------------------------------------------
+    # -- the unit lifecycle --------------------------------------------------
+
+    def admit(self, unit: "WorkUnit", unit_stats: "UnitStats") -> bool:
+        """Admission prologue: ask the policy, and record a refusal as
+        the unit's terminal ``fast_failed`` state (no boundary crossing,
+        no retry budget spent).  True admits the unit."""
+        refusal = self.admission.refuse_unit(unit.provider.name)
+        if refusal is None:
+            return True
+        unit_stats.status = "fast_failed"
+        unit_stats.error = refusal
+        return False
+
+    def evaluate(self, unit: "WorkUnit",
+                 watchdog: Optional[Watchdog] = None,
+                 unit_stats: "Optional[UnitStats]" = None) -> WorkerResult:
+        """Run the attempt loop on this thread: the provider call is
+        ``answer_batch``, backoff is the injectable ``sleep``."""
+        steps = self._lifecycle(unit, watchdog, unit_stats)
+        reply: object = None
+        error: Optional[BaseException] = None
+        while True:
+            try:
+                request = (steps.send(reply) if error is None
+                           else steps.throw(error))
+            except StopIteration as done:
+                return done.value
+            reply = error = None
+            try:
+                if isinstance(request, tuple):
+                    reply = unit.provider.answer_batch(
+                        request[0], unit.setting, unit.resolution_factor,
+                        use_raster=request[1])
+                else:
+                    self.sleep(request)  # type: ignore[arg-type]
+            except BaseException as exc:
+                # thrown back in, so the loop handles it where the call
+                # is made and re-raises what it does not (cancellation
+                # included) after running its cleanup
+                error = exc
+
+    async def evaluate_async(self, unit: "WorkUnit",
+                             scheduler: "AsyncCallScheduler",
+                             watchdog: Optional[Watchdog] = None,
+                             unit_stats: "Optional[UnitStats]" = None
+                             ) -> WorkerResult:
+        """Run the attempt loop on the event loop: the provider call is
+        awaited through ``scheduler`` (rate pacing, hedging) and backoff
+        suspends the coroutine — unless a test injected ``sleep``, which
+        is honoured as-is so one fixture drives both drivers."""
+        steps = self._lifecycle(unit, watchdog, unit_stats)
+        reply: object = None
+        error: Optional[BaseException] = None
+        while True:
+            try:
+                request = (steps.send(reply) if error is None
+                           else steps.throw(error))
+            except StopIteration as done:
+                return done.value
+            reply = error = None
+            try:
+                if isinstance(request, tuple):
+                    reply = await scheduler.call(
+                        unit.provider, request[0], unit.setting,
+                        unit.resolution_factor, use_raster=request[1])
+                elif self.sleep is time.sleep:
+                    await asyncio.sleep(request)  # type: ignore[arg-type]
+                else:
+                    self.sleep(request)  # type: ignore[arg-type]
+            except BaseException as exc:
+                error = exc
+
+    def _lifecycle(self, unit: "WorkUnit", watchdog: Optional[Watchdog],
+                   unit_stats: "Optional[UnitStats]"
+                   ) -> Generator[object, object, WorkerResult]:
+        """One unit's attempts, retried with exponential backoff, timed
+        and classified (``timed_out`` for a deadline overrun, ``failed``
+        for any other model fault; anything else propagates).
+
+        It yields a provider-call request ``(questions, use_raster)`` or
+        a backoff delay, and is sent the answers or has the call's
+        exception thrown in, so retry and quarantine see provider faults
+        where the call is made.  ``watchdog`` watches the deadline.
+        """
+        deadline = self.admission.deadline(clock=self.clock)
+        if deadline is not None and watchdog is not None:
+            watchdog.register(unit.unit_id, deadline, unit_stats)
+        outcome = WorkerResult(unit_id=unit.unit_id, status="completed")
+        start = time.perf_counter()
+        perf_before = perfstats.snapshot()
+        try:
+            for attempt in range(1, self.retry.max_attempts + 1):
+                outcome.attempts = attempt
+                try:
+                    outcome.result = yield from self._attempt(
+                        unit, outcome, deadline)
+                    break
+                except TransientModelError as exc:
+                    if attempt == self.retry.max_attempts:
+                        raise TransientModelError(
+                            f"{unit.unit_id}: transient fault persisted "
+                            f"through {attempt} attempts: {exc}") from None
+                    if deadline is not None:
+                        # an overdue unit must not burn more backoff time
+                        deadline.check(unit.unit_id)
+                    outcome.retries += 1
+                    yield self.retry.delay(attempt)
+        except ModelCallError as exc:
+            outcome.status = ("timed_out"
+                              if isinstance(exc, DeadlineExceeded)
+                              else "failed")
+            outcome.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            if watchdog is not None:
+                watchdog.unregister(unit.unit_id)
+        outcome.wall_time_s = time.perf_counter() - start
+        perfstats.record_stage("eval", int(outcome.wall_time_s * 1e9))
+        # Substrate-cache movement while this unit ran.  The perfstats
+        # counters are process-global, so under parallel workers the
+        # delta attributes concurrent units' lookups too — a telemetry
+        # signal, not an accounting invariant (run-level totals in the
+        # manifest are exact).
+        outcome.perf_delta = perfstats.delta(perf_before,
+                                             perfstats.snapshot())
+        return outcome
+
+    def _attempt(self, unit: "WorkUnit", outcome: WorkerResult,
+                 deadline: Optional[Deadline]
+                 ) -> Generator[object, object, EvalResult]:
+        """One evaluation attempt; cache-aware, fault-boundary-guarded.
+
+        The outcome plan is always computed over the unit's *full*
+        question list (quota-IRT realises correctness per category over
+        its members), so partially-cached attempts stay byte-identical
+        to uncached ones — and the list travels in one provider call.
+        """
+        use_raster = (self.harness.use_raster if unit.use_raster is None
+                      else unit.use_raster)
+        provider = unit.provider
+        fingerprint = provider.config_fingerprint()
+        questions = list(unit.dataset)
+        by_category: Dict[Category, List[Question]] = {}
+        for question in questions:
+            by_category.setdefault(question.category, []).append(question)
+        cohorts = {category: cohort_digest(members)
+                   for category, members in by_category.items()}
+        answers = None
+        result = EvalResult(
+            model_name=provider.name,
+            dataset_name=unit.dataset.name,
+            setting=unit.setting,
+            resolution_factor=unit.resolution_factor,
+        )
+        for question in questions:
+            key = question_key(provider.name, question, unit.setting,
+                               unit.resolution_factor, use_raster,
+                               cohorts[question.category],
+                               provider_fingerprint=fingerprint)
+            record = self.cache.get(key)
+            if record is not None:
+                outcome.cache_hits += 1
+                result.add(record)
+                continue
+            outcome.cache_misses += 1
+            if deadline is not None:
+                # the deadline-aware boundary crossing: an overdue unit
+                # resolves as timed_out at the next question, not after
+                # grinding through the remainder of the list
+                deadline.check(unit.unit_id, question.qid)
+            if answers is None:
+                # the whole-unit model call; provider-level transport
+                # faults (a RemoteStubProvider 429, a rejected request)
+                # are thrown in here and flow through the same
+                # retry/failure machinery as boundary faults
+                batch = yield (questions, use_raster)
+                answers = {answer.qid: answer
+                           for answer in batch}  # type: ignore[attr-defined]
+            try:
+                if self.fault_boundary is not None:
+                    self.fault_boundary(unit.unit_id, question.qid)
+                record = self.harness.judge_answer(question,
+                                                   answers[question.qid])
+            except PermanentError:
+                if not self.admission.may_quarantine(outcome.quarantined):
+                    raise
+                # salvage the unit: mark this question quarantined
+                # (deterministically incorrect) and keep going
+                outcome.quarantined += 1
+                record = quarantined_record(question)
+            self.cache.put(key, record)
+            result.add(record)
+        return result
+
+    def complete(self, unit: "WorkUnit", units: "Sequence[WorkUnit]",
+                 stats: "RunStats", collected: Dict[str, EvalResult],
+                 outcome: WorkerResult, *, node: Optional[str] = None,
+                 defer_manifest: bool = False) -> str:
+        """Completion epilogue shared by every driver: fold the counters
+        into the unit's stats; checkpoint a completed unit's canonical
+        bytes (through the commit log when attached), attach telemetry,
+        tell the breaker, stream the payload; write the progress
+        manifest unless ``defer_manifest``.  Worker processes and fleet
+        nodes hand over the serialized payload, written verbatim;
+        in-process drivers the ``EvalResult``.  Returns the commit
+        status when a commit log is attached, else the unit's status.
+        """
+        unit_stats = stats.unit(unit.unit_id)
+        for counter in OUTCOME_COUNTERS:
+            setattr(unit_stats, counter, getattr(outcome, counter))
+        if node is not None:
+            unit_stats.node = node
+        status = unit_stats.status = outcome.status
+        if status == "completed":
+            payload = outcome.payload
+            result = (cast(EvalResult, outcome.result) if payload is None
+                      else results_io.loads(payload))
+            # serialize-once: the same bytes are the checkpoint, the
+            # commit digest and the stream payload, and are never
+            # produced when nothing consumes them
+            if payload is None and (self.run_dir is not None
+                                    or self.on_unit_payload is not None
+                                    or self.commit_log is not None):
+                payload = self.canonical_payload(result)
+            if payload is not None:
+                if self.commit_log is not None:
+                    status = self.commit_payload(unit, payload, node or "")
+                else:
+                    self.checkpoint_bytes(unit, payload)
+            self.attach_telemetry(result, unit_stats, outcome.perf_delta)
+            collected[unit.unit_id] = result
+            self.admission.record_success(unit.provider.name)
+            self._stream(unit, result, payload)
+        else:
+            unit_stats.error = outcome.error
+            self.admission.record_failure(unit.provider.name,
+                                          outcome.error or status)
+        stats.record_perf_caches(perfstats.snapshot())
+        if not defer_manifest:
+            self.write_manifest(units, stats)
+        return status
 
     @staticmethod
     def attach_telemetry(result: EvalResult, unit_stats: "UnitStats",
@@ -299,29 +575,17 @@ class EvalEngine:
             result.telemetry["quarantined"] = float(
                 unit_stats.quarantined)
 
-    def fast_fail(self, unit_stats: "UnitStats", error: str) -> None:
-        """Record an admission refusal as the unit's terminal state."""
-        unit_stats.status = "fast_failed"
-        unit_stats.error = error
-
-    def unit_completed(self, unit: "WorkUnit", result: EvalResult,
-                       payload: Optional[str] = None) -> None:
-        """Fire the completion hooks (resumed and fresh units alike).
-
-        ``payload`` is the unit's canonical checkpoint bytes when the
-        driver already holds them; the byte-level ``on_unit_payload``
-        hook (the service result stream) receives them verbatim instead
-        of re-serialising the result.  Drivers that never produced the
-        bytes (a resume from an in-memory artifact) leave ``payload``
-        unset and the hook serialises once on their behalf.
-        """
-        if self.on_unit_complete is not None:
-            self.on_unit_complete(unit, result)
-        if self.on_unit_payload is not None:
-            if payload is None:
-                payload = self.canonical_payload(result)
-            with perfstats.stage("stream"):
-                self.on_unit_payload(unit, payload)
+    def _stream(self, unit: "WorkUnit", result: EvalResult,
+                payload: Optional[str] = None) -> None:
+        """Hand a completed (or resumed) unit's canonical bytes to the
+        ``on_unit_payload`` hook, serializing only when the caller did
+        not already hold them (a resume from an in-memory artifact)."""
+        if self.on_unit_payload is None:
+            return
+        if payload is None:
+            payload = self.canonical_payload(result)
+        with perfstats.stage("stream"):
+            self.on_unit_payload(unit, payload)
 
     # -- manifest + outcome --------------------------------------------------
 
@@ -330,12 +594,15 @@ class EvalEngine:
                        extra: Optional[Dict[str, object]] = None) -> None:
         """Write the run's progress manifest (atomic, lock-serialized).
 
-        ``extra`` merges driver-specific top-level blocks (the
-        coordinator's fleet counters); the breaker snapshot appears
-        whenever the admission policy carries one.
+        ``extra`` merges driver-specific top-level blocks, defaulting to
+        the attached :attr:`manifest_extra` (the coordinator's fleet
+        counters); the breaker snapshot appears whenever the admission
+        policy carries one.
         """
         if self.run_dir is None:
             return
+        if extra is None and self.manifest_extra is not None:
+            extra = self.manifest_extra()
         with self._manifest_lock:
             payload: Dict[str, object] = {
                 "format_version": MANIFEST_FORMAT_VERSION,
@@ -358,15 +625,13 @@ class EvalEngine:
                 json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def finalize(self, units: "Sequence[WorkUnit]", stats: "RunStats",
-                 collected: Dict[str, EvalResult],
-                 extra: Optional[Dict[str, object]] = None
-                 ) -> "RunOutcome":
+                 collected: Dict[str, EvalResult]) -> "RunOutcome":
         """Snapshot perf counters, write the final manifest, and fold
         everything into an input-ordered :class:`RunOutcome`."""
         from repro.core.runner import RunOutcome
 
         stats.record_perf_caches(perfstats.snapshot())
-        self.write_manifest(units, stats, extra=extra)
+        self.write_manifest(units, stats)
         ordered = {unit.unit_id: collected[unit.unit_id]
                    for unit in units if unit.unit_id in collected}
         failures = {

@@ -24,7 +24,7 @@ unit as a picklable :class:`UnitSpec` — a provider *registry name* (or,
 failing that, a pickled provider), a dataset *build spec* (see
 :attr:`repro.core.dataset.Dataset.build_spec`), the setting and the
 resolution factor.  The worker rebuilds the unit, evaluates it through
-the runner's own retry/quarantine machinery, and returns the serialized
+the engine's shared attempt loop, and returns the serialized
 checkpoint payload — the parent writes it verbatim, so process-backend
 artifacts are byte-identical to the serial and thread paths (pinned by
 ``tests/test_executor.py``).
@@ -67,13 +67,10 @@ from typing import (
     Union,
 )
 
-from repro.core import perfstats, results_io
-from repro.core.faults import FaultBoundary, ModelCallError
-from repro.core.resilience import (
-    Deadline,
-    DeadlineExceeded,
-    QuarantinePolicy,
-)
+from repro.core import perfstats
+from repro.core.faults import FaultBoundary
+from repro.core.metrics import EvalResult
+from repro.core.resilience import AdmissionPolicy, QuarantinePolicy
 from repro.models.providers import (
     AsyncCallScheduler,
     HedgePolicy,
@@ -244,26 +241,28 @@ class WorkerOptions:
     quarantine: Optional[QuarantinePolicy] = None
     deadline_s: Optional[float] = None
     spill_root: Optional[str] = None
-    #: when set, the worker touches this file at every fault-boundary
-    #: crossing (a cross-process heartbeat for the sweep coordinator)
-    heartbeat_file: Optional[str] = None
 
 
 @dataclass
 class WorkerResult:
-    """What one worker evaluation produced, in picklable form.
+    """What one unit evaluation produced: status, result and counters.
 
-    ``payload`` is the canonical serialized checkpoint
+    The outcome of :meth:`repro.core.engine.EvalEngine.evaluate` on
+    every driver.  In-process drivers carry the live ``result``;
+    a worker process or fleet node instead carries ``payload``, the
+    canonical serialized checkpoint
     (``results_io.dumps(result, telemetry=False)``), written verbatim by
     the parent — the property that keeps process-backend artifacts
-    byte-identical to the thread path.  ``perf_delta`` is the worker's
-    perception-substrate counter movement, folded back into
-    :attr:`~repro.core.runner.RunStats.perf_caches` by the parent.
+    byte-identical to the thread path.  ``perf_delta`` is the unit's
+    perception-substrate counter movement; a worker process's is folded
+    back into :attr:`~repro.core.runner.RunStats.perf_caches` by the
+    parent.
     """
 
     unit_id: str
     status: str  # completed | failed | timed_out
     payload: Optional[str] = None
+    result: Optional[EvalResult] = None
     error: Optional[str] = None
     attempts: int = 0
     retries: int = 0
@@ -276,72 +275,41 @@ class WorkerResult:
 
 
 def process_worker(spec: UnitSpec, options: WorkerOptions) -> WorkerResult:
-    """Evaluate one unit spec in a worker process.
+    """Evaluate one unit spec in a worker process (or a fleet node).
 
     Top-level (not a closure) so it is picklable by every start method.
-    Rebuilds the unit, runs it through the runner's own
-    retry/cache/quarantine path — the single code path that guarantees
-    byte-identity with in-process execution — and reports the canonical
-    checkpoint payload plus telemetry.  Model faults and cooperative
-    deadline overruns are converted to statuses here; anything else
-    propagates to the parent like an in-process exception would.
+    Rebuilds the unit, runs it through
+    :meth:`repro.core.engine.EvalEngine.evaluate` — the attempt loop
+    every driver shares, which guarantees byte-identity with in-process
+    execution — and returns the canonical checkpoint payload instead of
+    the result object.  Wall time and counter movement span the whole
+    call, rebuild and serialization included; anything that is not a
+    model fault propagates to the parent.
     """
-    from repro.core.runner import ParallelRunner, UnitStats
+    from repro.core.engine import EvalEngine
 
     if options.spill_root is not None:
         perfstats.enable_spill(options.spill_root)
-    boundary = options.fault_boundary
-    if options.heartbeat_file is not None:
-        from repro.core.faults import CompositeBoundary, FileHeartbeatBoundary
-
-        # heartbeat first: the node must register as alive even on
-        # crossings where a composed fault injector raises
-        heartbeat = FileHeartbeatBoundary(options.heartbeat_file)
-        boundary = (CompositeBoundary(heartbeat, boundary)
-                    if boundary is not None else heartbeat)
     perf_before = perfstats.snapshot()
     start = time.perf_counter()
     unit = spec.build_unit()
-    unit_stats = UnitStats(unit_id=unit.unit_id)
-    runner = ParallelRunner(
+    engine = EvalEngine(
         harness=options.harness,
-        workers=1,
         retry=options.retry,
-        fault_boundary=boundary,
-        quarantine=options.quarantine,
+        fault_boundary=options.fault_boundary,
+        admission=AdmissionPolicy(quarantine=options.quarantine,
+                                  deadline_s=options.deadline_s),
     )
-    deadline = (Deadline(options.deadline_s)
-                if options.deadline_s is not None else None)
-    payload: Optional[str] = None
-    error: Optional[str] = None
-    status = "completed"
-    try:
-        eval_start = time.perf_counter_ns()
-        result = runner.evaluate_unit(unit, unit_stats, deadline)
-        perfstats.record_stage(
-            "eval", time.perf_counter_ns() - eval_start)
+    outcome = engine.evaluate(unit)
+    if outcome.result is not None:
         # the worker-side serialize-once site: these bytes cross the
         # process boundary and are checkpointed/streamed verbatim by
         # the parent (stage time rides home in perf_delta)
-        with perfstats.stage("serialize"):
-            payload = results_io.dumps(result, telemetry=False) + "\n"
-    except DeadlineExceeded as exc:
-        status, error = "timed_out", f"{type(exc).__name__}: {exc}"
-    except ModelCallError as exc:
-        status, error = "failed", f"{type(exc).__name__}: {exc}"
-    return WorkerResult(
-        unit_id=unit.unit_id,
-        status=status,
-        payload=payload,
-        error=error,
-        attempts=unit_stats.attempts,
-        retries=unit_stats.retries,
-        cache_hits=unit_stats.cache_hits,
-        cache_misses=unit_stats.cache_misses,
-        quarantined=unit_stats.quarantined,
-        wall_time_s=time.perf_counter() - start,
-        perf_delta=perfstats.delta(perf_before, perfstats.snapshot()),
-    )
+        outcome.payload = engine.canonical_payload(outcome.result)
+        outcome.result = None
+    outcome.wall_time_s = time.perf_counter() - start
+    outcome.perf_delta = perfstats.delta(perf_before, perfstats.snapshot())
+    return outcome
 
 
 def ensure_picklable(items: Sequence[Tuple[str, UnitSpec]],
@@ -630,9 +598,10 @@ class AsyncBackend:
     builds one fresh :class:`AsyncCallScheduler` per run so telemetry
     never bleeds across runs.
 
-    Determinism is unchanged: the runner's cache/cohort/judge pipeline
-    is the same code path the sync backends share, so artifacts stay
-    byte-identical (pinned by the cross-backend golden-digest test).
+    Determinism is unchanged: the engine's cache/cohort/judge attempt
+    loop is the same code the sync backends run — only the provider
+    call and the backoff are awaited — so artifacts stay byte-identical
+    (pinned by the cross-backend golden-digest test).
     """
 
     name = "async"

@@ -46,7 +46,6 @@ produce byte-identical JSONL artifacts.  See ``docs/RUNNER.md`` and
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
 import threading
@@ -58,7 +57,7 @@ from typing import (
 )
 
 from repro.core import executor as executor_mod
-from repro.core import perfstats, results_io
+from repro.core import perfstats
 from repro.core.dataset import Dataset
 from repro.core.engine import (
     FAILURE_STATUSES,
@@ -66,29 +65,17 @@ from repro.core.engine import (
     MANIFEST_NAME,
     EvalEngine,
 )
-from repro.core.faults import (
-    FaultBoundary,
-    ModelCallError,
-    PermanentError,
-    TransientModelError,
-)
-from repro.core.metrics import EvalRecord, EvalResult
-from repro.core.question import Category, Question
+from repro.core.faults import FaultBoundary
+from repro.core.metrics import EvalResult
 from repro.core.resilience import (
     AdmissionPolicy,
     CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
     QuarantinePolicy,
     Watchdog,
-    quarantined_record,
 )
-from repro.core.runcache import RunCache, cohort_digest, question_key
+from repro.core.runcache import RunCache
 from repro.models.providers import (
-    AsyncCallScheduler,
-    ModelAnswer,
     ModelProvider,
-    as_async_provider,
     as_provider,
     create_provider,
 )
@@ -387,7 +374,7 @@ class RunOutcome:
 
 
 class ParallelRunner:
-    """Shard work units over a thread pool with cache/retry/checkpoint.
+    """Shard work units over an execution backend with cache/retry/checkpoint.
 
     ``workers=1`` preserves a strictly serial path (same code, no pool);
     any other value fans units out over a ``ThreadPoolExecutor``.
@@ -402,6 +389,9 @@ class ParallelRunner:
     around permanently-faulting questions; ``checkpoint_writer``
     replaces the atomic checkpoint write (the chaos harness injects
     crashes and torn writes through it).
+
+    Each unit's lifecycle is the :attr:`engine`'s; the runner picks the
+    thread, coroutine or worker process that runs it.
     """
 
     def __init__(
@@ -423,99 +413,36 @@ class ParallelRunner:
         backend: "Optional[str | executor_mod.ExecutionBackend]" = None,
         spill_dir: "Optional[Path | str]" = None,
         admission: Optional[AdmissionPolicy] = None,
-        on_unit_complete: Optional[
-            Callable[[WorkUnit, EvalResult], None]] = None,
         on_unit_payload: Optional[
             Callable[[WorkUnit, str], None]] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if harness is None:
-            from repro.core.harness import EvaluationHarness
-            harness = EvaluationHarness()
-        self.harness = harness
         self.workers = workers
         self.backend = executor_mod.resolve_backend(backend, workers)
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self.cache = cache if cache is not None else RunCache()
-        self.retry = retry or RetryPolicy()
-        self.fault_boundary = fault_boundary
-        self._sleep = sleep
         if admission is None:
             admission = AdmissionPolicy(
                 breaker=breaker, quarantine=quarantine,
                 deadline_s=deadline_s)
-        #: the artifact/accounting core this driver schedules over;
-        #: run_dir/resume/breaker/... below are views into it, so the
-        #: engine stays the single source of truth.
+        #: the unit-lifecycle and artifact core this driver schedules
+        #: over — the single source of truth for run_dir, resume,
+        #: admission and the attempt-loop configuration
         self.engine = EvalEngine(
             run_dir=run_dir, resume=resume,
             checkpoint_writer=checkpoint_writer,
             admission=admission,
-            on_unit_complete=on_unit_complete,
-            on_unit_payload=on_unit_payload)
+            on_unit_payload=on_unit_payload,
+            harness=harness, cache=cache, retry=retry,
+            fault_boundary=fault_boundary, sleep=sleep, clock=clock)
+        #: the run cache (the engine's), shared by every run of this runner
+        self.cache = self.engine.cache
         self.watchdog_interval = watchdog_interval
-        self._clock = clock
         #: RunStats of the most recent :meth:`run` (for CLI summaries).
         self.last_stats: Optional[RunStats] = None
         self._watchdog: Optional[Watchdog] = None
         self._depth_lock = threading.Lock()
         self._not_started = 0
-
-    # -- engine views (one source of truth: the EvalEngine) ------------------
-
-    @property
-    def admission(self) -> AdmissionPolicy:
-        return self.engine.admission
-
-    @property
-    def run_dir(self) -> Optional[Path]:
-        return self.engine.run_dir
-
-    @run_dir.setter
-    def run_dir(self, value: "Optional[Path | str]") -> None:
-        self.engine.run_dir = Path(value) if value is not None else None
-
-    @property
-    def resume(self) -> bool:
-        return self.engine.resume
-
-    @resume.setter
-    def resume(self, value: bool) -> None:
-        self.engine.resume = value
-
-    @property
-    def breaker(self) -> Optional[CircuitBreaker]:
-        return self.engine.admission.breaker
-
-    @breaker.setter
-    def breaker(self, value: Optional[CircuitBreaker]) -> None:
-        self.engine.admission.breaker = value
-
-    @property
-    def quarantine(self) -> Optional[QuarantinePolicy]:
-        return self.engine.admission.quarantine
-
-    @quarantine.setter
-    def quarantine(self, value: Optional[QuarantinePolicy]) -> None:
-        self.engine.admission.quarantine = value
-
-    @property
-    def deadline_s(self) -> Optional[float]:
-        return self.engine.admission.deadline_s
-
-    @deadline_s.setter
-    def deadline_s(self, value: Optional[float]) -> None:
-        self.engine.admission.deadline_s = value
-
-    @property
-    def _checkpoint_writer(self) -> Callable[[Path, str], None]:
-        return self.engine.checkpoint_writer
-
-    @_checkpoint_writer.setter
-    def _checkpoint_writer(self,
-                           value: Callable[[Path, str], None]) -> None:
-        self.engine.checkpoint_writer = value
 
     # -- public API ----------------------------------------------------------
 
@@ -525,46 +452,43 @@ class ParallelRunner:
         units = list(units)
         stats = RunStats()
         self.last_stats = stats
-        collected, pending = self.engine.prepare(units, stats)
+        engine = self.engine
+        collected, pending = engine.prepare(units, stats)
         self._not_started = len(pending)
         if self.spill_dir is not None:
             perfstats.enable_spill(self.spill_dir)
-        is_process = isinstance(self.backend, executor_mod.ProcessBackend)
-        if self.deadline_s is not None and not is_process:
+        backend = self.backend
+        is_process = isinstance(backend, executor_mod.ProcessBackend)
+        if engine.admission.deadline_s is not None and not is_process:
             # process-backend deadlines are enforced in the workers
             # (cooperatively) and by the backend's hard kill, not here
             self._watchdog = Watchdog(
-                clock=self._clock, interval=self.watchdog_interval,
-                on_timeout=lambda uid: self._write_manifest(units, stats))
+                clock=engine.clock, interval=self.watchdog_interval,
+                on_timeout=lambda uid: engine.write_manifest(units, stats))
             self._watchdog.start()
         try:
-            if is_process:
-                if pending:
-                    self._run_process(pending, units, stats, collected)
-            elif isinstance(self.backend, executor_mod.AsyncBackend):
-                if pending:
-                    scheduler = self.backend.make_scheduler()
-                    results = self.backend.map_units(
-                        pending,
-                        lambda u: self._execute_async(
-                            u, units, stats, scheduler))
-                    for unit, result in zip(pending, results):
-                        if result is not None:
-                            collected[unit.unit_id] = result
-            elif (isinstance(self.backend, executor_mod.ThreadBackend)
+            if pending and is_process:
+                self._run_process(pending, units, stats, collected)
+            elif pending and isinstance(backend, executor_mod.AsyncBackend):
+                scheduler = backend.make_scheduler()
+
+                async def execute(unit: WorkUnit) -> None:
+                    if self._admit(unit, units, stats):
+                        outcome = await engine.evaluate_async(
+                            unit, scheduler, self._watchdog,
+                            stats.unit(unit.unit_id))
+                        engine.complete(unit, units, stats, collected,
+                                        outcome)
+
+                backend.map_units(pending, execute)
+            elif (isinstance(backend, executor_mod.ThreadBackend)
                     and len(pending) > 1):
-                results = self.backend.map_units(
-                    pending, lambda u: self._execute(u, units, stats))
-                for unit, result in zip(pending, results):
-                    if result is not None:
-                        collected[unit.unit_id] = result
+                backend.map_units(pending, lambda unit: self._execute(
+                    unit, units, stats, collected))
             else:
                 for unit in pending:
-                    result = self._execute(
-                        unit, units, stats,
-                        defer_manifest=unit is pending[-1])
-                    if result is not None:
-                        collected[unit.unit_id] = result
+                    self._execute(unit, units, stats, collected,
+                                  defer_manifest=unit is pending[-1])
         finally:
             if self._watchdog is not None:
                 self._watchdog.stop()
@@ -574,20 +498,39 @@ class ParallelRunner:
                 # keep consulting (or repopulating) the disk tier
                 perfstats.disable_spill()
 
-        return self.engine.finalize(units, stats, collected)
-
-    def evaluate_unit(self, unit: WorkUnit, unit_stats: UnitStats,
-                      deadline: Optional[Deadline] = None) -> EvalResult:
-        """Evaluate one unit through the retry/cache/quarantine path.
-
-        No pool, breaker, checkpoint or manifest machinery — this is the
-        single evaluation code path that backends (including worker
-        processes, see :func:`repro.core.executor.process_worker`) share,
-        which is what keeps artifacts byte-identical across backends.
-        """
-        return self._evaluate_with_retry(unit, unit_stats, deadline)
+        return engine.finalize(units, stats, collected)
 
     # -- unit execution ------------------------------------------------------
+
+    def _admit(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
+               stats: RunStats, first_start: bool = True) -> bool:
+        """Driver prologue: queue-depth bookkeeping on a unit's first
+        start, then the engine's admission gate; a refusal lands in the
+        progress manifest at once."""
+        unit_stats = stats.unit(unit.unit_id)
+        if first_start:
+            with self._depth_lock:
+                self._not_started -= 1
+                unit_stats.queue_depth = self._not_started
+        if self.engine.admit(unit, unit_stats):
+            return True
+        self.engine.write_manifest(all_units, stats)
+        return False
+
+    def _execute(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
+                 stats: RunStats, collected: Dict[str, EvalResult], *,
+                 defer_manifest: bool = False) -> None:
+        """One unit on this thread (serial loop or thread pool).
+
+        ``defer_manifest`` skips the per-unit progress-manifest write;
+        the serial loop sets it for its final unit only, because
+        :meth:`EvalEngine.finalize` rewrites the manifest immediately
+        after the loop ends."""
+        if self._admit(unit, all_units, stats):
+            outcome = self.engine.evaluate(unit, self._watchdog,
+                                           stats.unit(unit.unit_id))
+            self.engine.complete(unit, all_units, stats, collected, outcome,
+                                 defer_manifest=defer_manifest)
 
     def _run_process(self, pending: List[WorkUnit],
                      all_units: Sequence[WorkUnit], stats: RunStats,
@@ -595,425 +538,40 @@ class ParallelRunner:
         """Fan pending units out over worker processes.
 
         The parent keeps everything that must stay single-writer:
-        breaker decisions (at submission time), checkpoint writes (via
-        the injectable writer, so the chaos harness still intercepts
-        them), manifest updates and perf-counter absorption.  Workers
-        return canonical checkpoint payloads; the parent writes them
-        verbatim.
+        admission (at submission time), the completion epilogue
+        (checkpoint writes via the injectable writer, so the chaos
+        harness still intercepts them; manifest updates) and
+        perf-counter absorption.  Workers return canonical checkpoint
+        payloads; the parent writes them verbatim.
         """
+        engine = self.engine
         options = executor_mod.WorkerOptions(
-            harness=self.harness,
-            retry=self.retry,
-            fault_boundary=self.fault_boundary,
-            quarantine=self.quarantine,
-            deadline_s=self.deadline_s,
+            harness=engine.harness,
+            retry=engine.retry,
+            fault_boundary=engine.fault_boundary,
+            quarantine=engine.admission.quarantine,
+            deadline_s=engine.admission.deadline_s,
             spill_root=(str(self.spill_dir)
                         if self.spill_dir is not None else None),
         )
-        by_id: Dict[str, WorkUnit] = {}
-        items: List = []
-        for unit in pending:
-            by_id[unit.unit_id] = unit
-            items.append((unit.unit_id, executor_mod.spec_for(unit)))
+        by_id = {unit.unit_id: unit for unit in pending}
         started: set = set()
 
         def should_submit(unit_id: str) -> bool:
-            unit = by_id[unit_id]
-            unit_stats = stats.unit(unit_id)
-            if unit_id not in started:  # respawns must not re-count
-                started.add(unit_id)
-                with self._depth_lock:
-                    self._not_started -= 1
-                    unit_stats.queue_depth = self._not_started
-            refusal = self.admission.refuse_unit(unit.provider.name)
-            if refusal is not None:
-                self.engine.fast_fail(unit_stats, refusal)
-                self._write_manifest(all_units, stats)
-                return False
-            return True
+            first_start = unit_id not in started  # respawns don't re-count
+            started.add(unit_id)
+            return self._admit(by_id[unit_id], all_units, stats, first_start)
 
         def on_result(unit_id: str,
                       outcome: executor_mod.WorkerResult) -> None:
-            unit = by_id[unit_id]
-            unit_stats = stats.unit(unit_id)
-            unit_stats.attempts = outcome.attempts
-            unit_stats.retries = outcome.retries
-            unit_stats.cache_hits = outcome.cache_hits
-            unit_stats.cache_misses = outcome.cache_misses
-            unit_stats.quarantined = outcome.quarantined
-            unit_stats.worker_respawns = outcome.worker_respawns
-            unit_stats.wall_time_s = outcome.wall_time_s
             stats.absorb_perf_caches(outcome.perf_delta)
-            model_key = unit.provider.name
-            if outcome.status == "completed" and outcome.payload is not None:
-                unit_stats.status = "completed"
-                # the worker already serialized the canonical payload;
-                # write and stream those bytes verbatim
-                self.engine.checkpoint_bytes(unit, outcome.payload)
-                result = results_io.loads(outcome.payload)
-                EvalEngine.attach_telemetry(
-                    result, unit_stats, outcome.perf_delta)
-                collected[unit_id] = result
-                self.admission.record_success(model_key)
-                self.engine.unit_completed(unit, result,
-                                           payload=outcome.payload)
-            else:
-                unit_stats.status = outcome.status
-                unit_stats.error = outcome.error
-                self.admission.record_failure(
-                    model_key, unit_stats.error or "worker failure")
-            self._write_manifest(all_units, stats)
+            engine.complete(by_id[unit_id], all_units, stats, collected,
+                            outcome)
 
         assert isinstance(self.backend, executor_mod.ProcessBackend)
-        self.backend.run_units(items, options, should_submit, on_result)
-
-    def _begin_unit(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
-                    stats: RunStats
-                    ) -> "Optional[tuple[UnitStats, str, Optional[Deadline]]]":
-        """Shared unit prologue: depth bookkeeping, breaker admission,
-        deadline/watchdog registration.  Returns ``None`` when the
-        breaker fast-fails the unit (already recorded)."""
-        unit_stats = stats.unit(unit.unit_id)
-        with self._depth_lock:
-            self._not_started -= 1
-            unit_stats.queue_depth = self._not_started
-        model_key = unit.provider.name
-        # fast-fail: no boundary crossing, no retry budget spent
-        refusal = self.admission.refuse_unit(model_key)
-        if refusal is not None:
-            self.engine.fast_fail(unit_stats, refusal)
-            self._write_manifest(all_units, stats)
-            return None
-        deadline = self.admission.deadline(clock=self._clock)
-        if deadline is not None and self._watchdog is not None:
-            self._watchdog.register(unit.unit_id, deadline, unit_stats)
-        return unit_stats, model_key, deadline
-
-    def _finish_unit(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
-                     stats: RunStats, unit_stats: UnitStats, model_key: str,
-                     result: Optional[EvalResult],
-                     error: Optional[BaseException], timed_out: bool,
-                     start: float,
-                     perf_before: Dict[str, Dict[str, int]],
-                     defer_manifest: bool = False) -> Optional[EvalResult]:
-        """Shared unit epilogue: telemetry, checkpoint, breaker record,
-        manifest write — identical across sync and async execution,
-        which is what keeps their artifacts byte-identical.
-
-        ``defer_manifest`` skips the progress-manifest write; the serial
-        loop sets it for its final unit only, because
-        :meth:`EvalEngine.finalize` rewrites the manifest (with the same
-        stats plus the perf snapshot) immediately after the loop ends —
-        the per-unit write exists for mid-run crash visibility, and after
-        the last unit there is no mid-run left."""
-        unit_stats.wall_time_s = time.perf_counter() - start
-        perfstats.record_stage("eval",
-                               int(unit_stats.wall_time_s * 1e9))
-        # Substrate-cache movement while this unit ran.  The perfstats
-        # counters are process-global, so under parallel workers the
-        # delta attributes concurrent units' lookups too — it is a
-        # telemetry signal, not an accounting invariant (run-level
-        # totals in the manifest are exact).
-        perf_moved = perfstats.delta(perf_before, perfstats.snapshot())
-        if result is not None:
-            unit_stats.status = "completed"
-            # serialize-once: the same bytes are the checkpoint
-            # artifact *and* the stream payload; no tier re-encodes
-            # the result (skipped entirely when nothing consumes them)
-            payload = None
-            if (self.engine.run_dir is not None
-                    or self.engine.on_unit_payload is not None):
-                payload = self.engine.canonical_payload(result)
-                self.engine.checkpoint_bytes(unit, payload)
-            EvalEngine.attach_telemetry(result, unit_stats, perf_moved)
-            self.admission.record_success(model_key)
-            self.engine.unit_completed(unit, result, payload=payload)
-        else:
-            unit_stats.status = "timed_out" if timed_out else "failed"
-            unit_stats.error = f"{type(error).__name__}: {error}"
-            self.admission.record_failure(model_key, unit_stats.error)
-        stats.record_perf_caches(perfstats.snapshot())
-        if not defer_manifest:
-            self._write_manifest(all_units, stats)
-        return result
-
-    def _execute(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
-                 stats: RunStats, *,
-                 defer_manifest: bool = False) -> Optional[EvalResult]:
-        begun = self._begin_unit(unit, all_units, stats)
-        if begun is None:
-            return None
-        unit_stats, model_key, deadline = begun
-        start = time.perf_counter()
-        perf_before = perfstats.snapshot()
-        result: Optional[EvalResult] = None
-        error: Optional[BaseException] = None
-        timed_out = False
-        try:
-            result = self._evaluate_with_retry(unit, unit_stats, deadline)
-        except DeadlineExceeded as exc:
-            error = exc
-            timed_out = True
-        except ModelCallError as exc:
-            error = exc
-        finally:
-            if self._watchdog is not None:
-                self._watchdog.unregister(unit.unit_id)
-        return self._finish_unit(unit, all_units, stats, unit_stats,
-                                 model_key, result, error, timed_out,
-                                 start, perf_before,
-                                 defer_manifest=defer_manifest)
-
-    async def _execute_async(self, unit: WorkUnit,
-                             all_units: Sequence[WorkUnit], stats: RunStats,
-                             scheduler: Optional[AsyncCallScheduler] = None
-                             ) -> Optional[EvalResult]:
-        """Async twin of :meth:`_execute` for the asyncio backend: same
-        prologue/epilogue helpers, same status classification — only
-        the evaluation await differs, so breaker, deadline, quarantine
-        and resume semantics are preserved verbatim."""
-        begun = self._begin_unit(unit, all_units, stats)
-        if begun is None:
-            return None
-        unit_stats, model_key, deadline = begun
-        start = time.perf_counter()
-        perf_before = perfstats.snapshot()
-        result: Optional[EvalResult] = None
-        error: Optional[BaseException] = None
-        timed_out = False
-        try:
-            result = await self._evaluate_with_retry_async(
-                unit, unit_stats, deadline, scheduler)
-        except DeadlineExceeded as exc:
-            error = exc
-            timed_out = True
-        except ModelCallError as exc:
-            error = exc
-        finally:
-            if self._watchdog is not None:
-                self._watchdog.unregister(unit.unit_id)
-        return self._finish_unit(unit, all_units, stats, unit_stats,
-                                 model_key, result, error, timed_out,
-                                 start, perf_before)
-
-    def _evaluate_with_retry(self, unit: WorkUnit, unit_stats: UnitStats,
-                             deadline: Optional[Deadline] = None
-                             ) -> EvalResult:
-        last: Optional[TransientModelError] = None
-        for attempt in range(1, self.retry.max_attempts + 1):
-            unit_stats.attempts = attempt
-            try:
-                return self._attempt_unit(unit, unit_stats, deadline)
-            except TransientModelError as exc:
-                last = exc
-                if attempt == self.retry.max_attempts:
-                    break
-                if deadline is not None:
-                    # an overdue unit must not burn more backoff time
-                    deadline.check(unit.unit_id)
-                unit_stats.retries += 1
-                self._sleep(self.retry.delay(attempt))
-        raise TransientModelError(
-            f"{unit.unit_id}: transient fault persisted through "
-            f"{self.retry.max_attempts} attempts: {last}")
-
-    async def _evaluate_with_retry_async(
-            self, unit: WorkUnit, unit_stats: UnitStats,
-            deadline: Optional[Deadline] = None,
-            scheduler: Optional[AsyncCallScheduler] = None) -> EvalResult:
-        """Async twin of :meth:`_evaluate_with_retry`: same attempt
-        budget and fault classification, but backoff suspends the
-        coroutine instead of blocking the loop."""
-        last: Optional[TransientModelError] = None
-        for attempt in range(1, self.retry.max_attempts + 1):
-            unit_stats.attempts = attempt
-            try:
-                return await self._attempt_unit_async(
-                    unit, unit_stats, deadline, scheduler)
-            except TransientModelError as exc:
-                last = exc
-                if attempt == self.retry.max_attempts:
-                    break
-                if deadline is not None:
-                    # an overdue unit must not burn more backoff time
-                    deadline.check(unit.unit_id)
-                unit_stats.retries += 1
-                await self._backoff_async(self.retry.delay(attempt))
-        raise TransientModelError(
-            f"{unit.unit_id}: transient fault persisted through "
-            f"{self.retry.max_attempts} attempts: {last}")
-
-    async def _backoff_async(self, delay: float) -> None:
-        """Retry backoff on the event loop.  A real (default) sleep
-        becomes ``asyncio.sleep`` so sibling units keep running; an
-        injected test sleep (no-op, fault-counting, …) is honoured
-        as-is so existing fixtures drive both paths."""
-        if self._sleep is time.sleep:
-            await asyncio.sleep(delay)
-        else:
-            self._sleep(delay)
-
-    # -- the per-attempt pipeline (shared sync/async) -------------------------
-
-    def _attempt_context(self, unit: WorkUnit):
-        """Everything one attempt derives from the unit up front:
-        (use_raster, provider, fingerprint, questions, cohorts)."""
-        use_raster = (self.harness.use_raster if unit.use_raster is None
-                      else unit.use_raster)
-        provider = unit.provider
-        fingerprint = provider.config_fingerprint()
-        questions = list(unit.dataset)
-        by_category: Dict[Category, List[Question]] = {}
-        for question in questions:
-            by_category.setdefault(question.category, []).append(question)
-        cohorts = {
-            category: cohort_digest(members)
-            for category, members in by_category.items()
-        }
-        return use_raster, provider, fingerprint, questions, cohorts
-
-    def _judge_or_quarantine(self, unit: WorkUnit, unit_stats: UnitStats,
-                             question: Question,
-                             answer: ModelAnswer) -> EvalRecord:
-        """Judge one answer behind the fault boundary, salvaging the
-        question as quarantined when policy admits it."""
-        try:
-            if self.fault_boundary is not None:
-                self.fault_boundary(unit.unit_id, question.qid)
-            return self.harness.judge_answer(question, answer)
-        except PermanentError:
-            if not self.admission.may_quarantine(unit_stats.quarantined):
-                raise
-            # salvage the unit: mark this question quarantined
-            # (deterministically incorrect) and keep going
-            unit_stats.quarantined += 1
-            return quarantined_record(question)
-
-    def _result_from_records(self, unit: WorkUnit,
-                             records: List[EvalRecord]) -> EvalResult:
-        """Assemble the unit's :class:`EvalResult` in question order."""
-        result = EvalResult(
-            model_name=unit.model.name,
-            dataset_name=unit.dataset.name,
-            setting=unit.setting,
-            resolution_factor=unit.resolution_factor,
-        )
-        for record in records:
-            result.add(record)
-        return result
-
-    def _attempt_unit(self, unit: WorkUnit, unit_stats: UnitStats,
-                      deadline: Optional[Deadline] = None) -> EvalResult:
-        """One evaluation attempt; cache-aware, fault-boundary-guarded.
-
-        The outcome plan is always computed over the unit's *full*
-        question list (quota-IRT realises correctness per category over
-        its members), so partially-cached attempts stay byte-identical
-        to uncached ones.
-        """
-        (use_raster, provider, fingerprint,
-         questions, cohorts) = self._attempt_context(unit)
-        answers = None
-        records: List[EvalRecord] = []
-        for question in questions:
-            key = question_key(provider.name, question, unit.setting,
-                               unit.resolution_factor, use_raster,
-                               cohorts[question.category],
-                               provider_fingerprint=fingerprint)
-            cached = self.cache.get(key)
-            if cached is not None:
-                unit_stats.cache_hits += 1
-                records.append(cached)
-                continue
-            unit_stats.cache_misses += 1
-            if deadline is not None:
-                # the deadline-aware boundary crossing: an overdue unit
-                # resolves as timed_out at the next question, not after
-                # grinding through the remainder of the list
-                deadline.check(unit.unit_id, question.qid)
-            if answers is None:
-                # the whole-unit model call; provider-level transport
-                # faults (a RemoteStubProvider 429, a rejected request)
-                # raise here and flow through the same retry/failure
-                # machinery as boundary faults
-                answers = {
-                    answer.qid: answer
-                    for answer in provider.answer_batch(
-                        questions, unit.setting, unit.resolution_factor,
-                        use_raster=use_raster)
-                }
-            record = self._judge_or_quarantine(unit, unit_stats, question,
-                                               answers[question.qid])
-            self.cache.put(key, record)
-            records.append(record)
-        return self._result_from_records(unit, records)
-
-    async def _attempt_unit_async(
-            self, unit: WorkUnit, unit_stats: UnitStats,
-            deadline: Optional[Deadline] = None,
-            scheduler: Optional[AsyncCallScheduler] = None) -> EvalResult:
-        """Async twin of :meth:`_attempt_unit`.
-
-        Identical cache keys, cohort digests, deadline crossings and
-        judging — the one divergence is the whole-unit model call,
-        which is awaited (through the scheduler's rate pacing and
-        hedging when one is configured) so sibling units overlap the
-        endpoint round-trip.  The unit's question list still travels in
-        a single provider call: quota-IRT outcome planning is
-        cohort-dependent, so splitting it would break byte-identity.
-        """
-        (use_raster, provider, fingerprint,
-         questions, cohorts) = self._attempt_context(unit)
-        answers = None
-        records: List[EvalRecord] = []
-        for question in questions:
-            key = question_key(provider.name, question, unit.setting,
-                               unit.resolution_factor, use_raster,
-                               cohorts[question.category],
-                               provider_fingerprint=fingerprint)
-            cached = self.cache.get(key)
-            if cached is not None:
-                unit_stats.cache_hits += 1
-                records.append(cached)
-                continue
-            unit_stats.cache_misses += 1
-            if deadline is not None:
-                # the deadline-aware boundary crossing: an overdue unit
-                # resolves as timed_out at the next question, not after
-                # grinding through the remainder of the list
-                deadline.check(unit.unit_id, question.qid)
-            if answers is None:
-                if scheduler is not None:
-                    batch = await scheduler.call(
-                        provider, questions, unit.setting,
-                        unit.resolution_factor, use_raster=use_raster)
-                else:
-                    batch = await as_async_provider(
-                        provider).answer_batch_async(
-                            questions, unit.setting, unit.resolution_factor,
-                            use_raster=use_raster)
-                answers = {answer.qid: answer for answer in batch}
-            record = self._judge_or_quarantine(unit, unit_stats, question,
-                                               answers[question.qid])
-            self.cache.put(key, record)
-            records.append(record)
-        return self._result_from_records(unit, records)
-
-    # -- checkpointing (delegated to the engine) -----------------------------
-
-    def checkpoint_path(self, unit: WorkUnit) -> Optional[Path]:
-        return self.engine.checkpoint_path(unit)
-
-    def _checkpoint(self, unit: WorkUnit, result: EvalResult) -> None:
-        self.engine.checkpoint(unit, result)
-
-    def _try_resume(self, unit: WorkUnit,
-                    unit_stats: UnitStats) -> Optional[EvalResult]:
-        return self.engine.resume_unit(unit, unit_stats)
-
-    def _write_manifest(self, units: Sequence[WorkUnit],
-                        stats: RunStats) -> None:
-        self.engine.write_manifest(units, stats)
+        self.backend.run_units(
+            [(unit.unit_id, executor_mod.spec_for(unit)) for unit in pending],
+            options, should_submit, on_result)
 
 
 def read_manifest(run_dir: "Path | str") -> Dict[str, object]:

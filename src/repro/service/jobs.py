@@ -18,9 +18,9 @@ service semantics on top:
   an in-flight unit finishes; docs/SERVICE.md);
 * **streaming** — every completed unit's *canonical checkpoint
   payload* is appended to the job's result log via the engine's
-  ``on_unit_complete`` hook, so clients can stream and digest results
-  incrementally with an offset cursor
-  (:meth:`Job.results_since`);
+  ``on_unit_payload`` hook (the checkpoint's own bytes, serialized
+  once), so clients can stream and digest results incrementally with
+  an offset cursor (:meth:`Job.results_since`);
 * **replicas** — ``"replicas": N`` in a spec serves each model through
   a :class:`~repro.service.router.ProviderRouter` over N identical
   provider instances with breaker-aware failover.

@@ -306,6 +306,30 @@ class TestFleetFlags:
         assert "kosmos-2" in capsys.readouterr().out
 
 
+class TestUnknownModels:
+    """An unknown model name is a usage error (exit status 2) that
+    lists the known names, never a KeyError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--models", "nosuch"],
+        ["table2", "--models", "nosuch", "--limit", "142"],
+        ["table2", "--models", "nosuch", "--nodes", "2"],
+        ["resolution", "--model", "nosuch"],
+        ["evaluate", "--model", "nosuch"],
+        ["compare", "nosuch", "gpt-4o"],
+    ], ids=["table2", "table2-scaled", "table2-nodes", "resolution",
+            "evaluate", "compare"])
+    def test_exits_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert "nosuch" in errors[0]
+        assert "gpt-4o" in errors[0] and "kosmos-2" in errors[0]
+
+
 class TestMetricsOut:
     def test_table2_writes_prometheus_exposition(self, tmp_path, capsys):
         out_path = tmp_path / "metrics.prom"

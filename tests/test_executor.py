@@ -1,6 +1,7 @@
 """Execution backend tests: spec round-trips, backend resolution, the
-cross-backend golden-digest guarantee, and process-backend failure
-handling (wedged workers, persistently dying workers)."""
+cross-backend golden-digest guarantee, per-unit lifecycle parity across
+drivers, and process-backend failure handling (wedged workers,
+persistently dying workers)."""
 
 import hashlib
 import os
@@ -27,11 +28,18 @@ from repro.core.executor import (
     resolve_backend,
     spec_for,
 )
-from repro.core.faults import FaultBoundary, LatencyBoundary
-from repro.core.resilience import CircuitBreaker
+from repro.core.coordinator import SweepCoordinator
+from repro.core.faults import (
+    CompositeBoundary,
+    FaultBoundary,
+    FlakyBoundary,
+    LatencyBoundary,
+    PoisonedQuestions,
+)
+from repro.core.resilience import CircuitBreaker, QuarantinePolicy
 from repro.core.harness import run_table2
 from repro.core.question import Category
-from repro.core.runner import ParallelRunner, WorkUnit
+from repro.core.runner import ParallelRunner, RetryPolicy, WorkUnit
 from repro.models import WITH_CHOICE, build_model, build_zoo
 from repro.models.providers import RemoteStubProvider, create_provider
 
@@ -224,6 +232,78 @@ class TestGoldenCrossBackend:
         caches = second.last_stats.perf_caches
         assert sum(entry.get("spill_hits", 0)
                    for entry in caches.values()) > 0
+
+
+class TestLifecycleParity:
+    """Every driver runs a unit through the same lifecycle, so a unit's
+    recorded counters do not depend on who executed it — including
+    units that fail.  One unit exceeds its quarantine budget (failed),
+    one is salvaged around a poisoned question, one is clean; flaky
+    transient faults force retries that replay cached records."""
+
+    FIELDS = ("status", "attempts", "retries", "cache_hits",
+              "cache_misses", "quarantined", "error")
+
+    @staticmethod
+    def _units(chipvqa):
+        subset = chipvqa.by_category(Category.DIGITAL)
+        return [WorkUnit(model=build_model(name), dataset=subset,
+                         setting=WITH_CHOICE)
+                for name in ("gpt-4o", "llava-7b", "kosmos-2")]
+
+    @staticmethod
+    def _boundary(chipvqa, units, flaky):
+        qids = [q.qid for q in chipvqa.by_category(Category.DIGITAL)]
+        poison = PoisonedQuestions({
+            f"{units[0].unit_id}::{qids[2]}",
+            f"{units[0].unit_id}::{qids[6]}",
+            f"{units[1].unit_id}::{qids[4]}",
+        })
+        if not flaky:
+            return poison
+        return CompositeBoundary(
+            FlakyBoundary(rate=0.2, failures=1, seed=1), poison)
+
+    @staticmethod
+    def _run(driver, units, boundary):
+        common = dict(fault_boundary=boundary,
+                      quarantine=QuarantinePolicy(max_per_unit=1),
+                      retry=RetryPolicy(max_attempts=20, base_delay=0.0))
+        if driver == "nodes":
+            runner = SweepCoordinator(nodes=2, **common)
+        else:
+            runner = ParallelRunner(
+                workers=1 if driver == "serial" else 2,
+                backend=driver, sleep=lambda d: None, **common)
+        runner.run(units)
+        return {unit.unit_id: tuple(
+                    getattr(runner.last_stats.unit(unit.unit_id), field)
+                    for field in TestLifecycleParity.FIELDS)
+                for unit in units}
+
+    @pytest.mark.parametrize("driver",
+                             ["thread", "async", "nodes", "process"])
+    def test_unit_counters_match_serial(self, chipvqa, driver):
+        # FlakyBoundary holds a lock and does not pickle, so the process
+        # backend is compared under the poison-only boundary
+        flaky = driver != "process"
+        units = self._units(chipvqa)
+        expected = self._run(
+            "serial", units, self._boundary(chipvqa, units, flaky))
+        got = self._run(driver, units, self._boundary(chipvqa, units, flaky))
+        assert got == expected
+        poisoned = dict(zip(self.FIELDS, expected[units[0].unit_id]))
+        assert poisoned["status"] == "failed"
+        assert poisoned["quarantined"] == 1
+        assert poisoned["cache_misses"] > 0
+        assert "PermanentError" in poisoned["error"]
+        salvaged = dict(zip(self.FIELDS, expected[units[1].unit_id]))
+        assert salvaged["status"] == "completed"
+        assert salvaged["quarantined"] == 1
+        if flaky:
+            # the failed unit retried and replayed cached records first
+            assert poisoned["retries"] > 0
+            assert poisoned["cache_hits"] > 0
 
 
 class _KillEveryTime(FaultBoundary):
