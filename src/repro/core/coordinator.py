@@ -450,6 +450,15 @@ class ResultStore:
                     "store_digest_reuse": self.digest_reuse}
 
 
+#: Held while a process node submits; a node's first submit forks its
+#: worker.  Under ``fork``, a node thread forking while another is
+#: between ``fork()`` and closing its end of the new worker's sentinel
+#: pipe hands that end to the second worker, so the first worker's
+#: death raises no ``BrokenProcessPool`` for as long as the second
+#: lives, and its unit waits out a lease instead of being requeued.
+_SPAWN_LOCK = threading.Lock()
+
+
 class Node:
     """One member of the coordinator's fleet.
 
@@ -541,22 +550,26 @@ class Node:
         """
         if self.mode == "inline":
             return executor_mod.process_worker(spec, options)
-        future = self._ensure_pool().submit(
-            executor_mod.process_worker, spec, options)
-        while True:
-            try:
-                return future.result(timeout=poll_interval)
-            except FutureTimeout:
-                if self.lost:
-                    self.kill()
-                    raise NodeKilled(
-                        f"{self.node_id} declared lost while running "
-                        f"{spec.setting!r} unit; process group killed")
-            except BrokenProcessPool as exc:
-                self._pool = None
-                raise NodeKilled(
-                    f"{self.node_id} worker process died: "
-                    f"{type(exc).__name__}") from exc
+        try:
+            # submit raises BrokenProcessPool itself when the group died
+            # after its last unit returned
+            with _SPAWN_LOCK:
+                future = self._ensure_pool().submit(
+                    executor_mod.process_worker, spec, options)
+            while True:
+                try:
+                    return future.result(timeout=poll_interval)
+                except FutureTimeout:
+                    if self.lost:
+                        self.kill()
+                        raise NodeKilled(
+                            f"{self.node_id} declared lost while running "
+                            f"{spec.setting!r} unit; process group killed")
+        except BrokenProcessPool as exc:
+            self._pool = None
+            raise NodeKilled(
+                f"{self.node_id} worker process died: "
+                f"{type(exc).__name__}") from exc
 
     def kill(self) -> None:
         """Forcefully terminate the node's process group (if any)."""

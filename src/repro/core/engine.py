@@ -20,7 +20,8 @@ artifacts around it:
 * :meth:`complete` — the completion epilogue: counters folded into
   the unit's stats, the checkpoint written (or committed through the
   commit log), telemetry attached, the breaker told, the payload
-  streamed, the progress manifest written;
+  streamed, and the progress manifest written when
+  :data:`MANIFEST_INTERVAL_S` has passed since the last write;
 * :meth:`finalize` — perf-counter snapshot, final manifest, and the
   ordered :class:`~repro.core.runner.RunOutcome`.
 
@@ -78,6 +79,13 @@ OUTCOME_COUNTERS = ("attempts", "retries", "cache_hits", "cache_misses",
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT_VERSION = 1
+
+#: Least time, in seconds of the engine's ``clock``, between the
+#: progress-manifest writes :meth:`EvalEngine.complete` makes.  Each
+#: write rewrites every unit's entry, so writing per unit cost a run
+#: time quadratic in its unit count; ``finalize``, a watchdog timeout
+#: and an admission refusal still write at once.
+MANIFEST_INTERVAL_S = 1.0
 
 #: Unit statuses that count as failures in ``RunOutcome.failures``.
 FAILURE_STATUSES = ("failed", "fast_failed", "timed_out")
@@ -149,6 +157,9 @@ class EvalEngine:
         self.manifest_extra: Optional[
             Callable[[], Dict[str, object]]] = None
         self._manifest_lock = threading.Lock()
+        #: engine-clock time of the run's start or its last manifest
+        #: write, whichever is later
+        self._manifest_at = 0.0
 
     # -- canonical forms -----------------------------------------------------
 
@@ -195,6 +206,7 @@ class EvalEngine:
         ids = [unit.unit_id for unit in units]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate unit ids in {ids}")
+        self._manifest_at = self.clock()
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
         collected: Dict[str, EvalResult] = {}
@@ -505,16 +517,18 @@ class EvalEngine:
 
     def complete(self, unit: "WorkUnit", units: "Sequence[WorkUnit]",
                  stats: "RunStats", collected: Dict[str, EvalResult],
-                 outcome: WorkerResult, *, node: Optional[str] = None,
-                 defer_manifest: bool = False) -> str:
+                 outcome: WorkerResult, *,
+                 node: Optional[str] = None) -> str:
         """Completion epilogue shared by every driver: fold the counters
         into the unit's stats; checkpoint a completed unit's canonical
         bytes (through the commit log when attached), attach telemetry,
         tell the breaker, stream the payload; write the progress
-        manifest unless ``defer_manifest``.  Worker processes and fleet
-        nodes hand over the serialized payload, written verbatim;
-        in-process drivers the ``EvalResult``.  Returns the commit
-        status when a commit log is attached, else the unit's status.
+        manifest once :data:`MANIFEST_INTERVAL_S` of the engine's clock
+        has passed since the run's :meth:`prepare` or the last write.
+        Worker processes and fleet nodes hand over the serialized
+        payload, written verbatim; in-process drivers the
+        ``EvalResult``.  Returns the commit status when a commit log is
+        attached, else the unit's status.
         """
         unit_stats = stats.unit(unit.unit_id)
         for counter in OUTCOME_COUNTERS:
@@ -547,9 +561,21 @@ class EvalEngine:
             self.admission.record_failure(unit.provider.name,
                                           outcome.error or status)
         stats.record_perf_caches(perfstats.snapshot())
-        if not defer_manifest:
+        if self._manifest_due():
             self.write_manifest(units, stats)
         return status
+
+    def _manifest_due(self) -> bool:
+        """Claim the next progress-manifest write if the interval has
+        passed; of concurrent completions, one wins the write."""
+        if self.run_dir is None:
+            return False
+        with self._manifest_lock:
+            now = self.clock()
+            if now - self._manifest_at < MANIFEST_INTERVAL_S:
+                return False
+            self._manifest_at = now
+            return True
 
     @staticmethod
     def attach_telemetry(result: EvalResult, unit_stats: "UnitStats",
@@ -592,7 +618,8 @@ class EvalEngine:
     def write_manifest(self, units: "Sequence[WorkUnit]",
                        stats: "RunStats",
                        extra: Optional[Dict[str, object]] = None) -> None:
-        """Write the run's progress manifest (atomic, lock-serialized).
+        """Write the run's progress manifest (atomic, lock-serialized)
+        now; the write restarts :meth:`complete`'s interval.
 
         ``extra`` merges driver-specific top-level blocks, defaulting to
         the attached :attr:`manifest_extra` (the coordinator's fleet
@@ -623,6 +650,7 @@ class EvalEngine:
             results_io.atomic_write_text(
                 self.run_dir / MANIFEST_NAME,
                 json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            self._manifest_at = self.clock()
 
     def finalize(self, units: "Sequence[WorkUnit]", stats: "RunStats",
                  collected: Dict[str, EvalResult]) -> "RunOutcome":

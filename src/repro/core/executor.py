@@ -399,10 +399,12 @@ class ProcessBackend:
 
     Failure handling (see the module docstring):
 
-    * ``BrokenProcessPool`` — the pool is rebuilt and every interrupted
-      unit re-run *one at a time*; a pool that breaks with a single
-      unit in flight convicts that unit, and ``max_respawns`` solo
-      deaths mark it ``failed`` without poisoning its neighbours.
+    * ``BrokenProcessPool`` — whether a future or ``submit`` itself
+      reports it, the pool is rebuilt and every interrupted unit re-run
+      *one at a time* (a unit ``submit`` refused never ran and is
+      requeued uncharged); a pool that breaks with a single unit in
+      flight convicts that unit, and ``max_respawns`` solo deaths mark
+      it ``failed`` without poisoning its neighbours.
     * hard deadline — with ``deadline_s`` set, a worker is given
       ``deadline_s * hard_deadline_factor + hard_deadline_grace``
       seconds of wall time (the cooperative in-worker deadline should
@@ -487,33 +489,48 @@ class ProcessBackend:
         hard = self.hard_deadline(options.deadline_s)
         in_flight: Dict[Future, Tuple[str, UnitSpec, float]] = {}
         pool = self._new_pool()
+
+        def submit(queue: Deque[Tuple[str, UnitSpec]], unit_id: str,
+                   spec: UnitSpec) -> None:
+            try:
+                future = pool.submit(process_worker, spec, options)
+            except BrokenProcessPool:
+                # a worker died after the last wait returned: the unit
+                # never ran, so it goes back uncharged
+                queue.appendleft((unit_id, spec))
+                raise
+            in_flight[future] = (unit_id, spec, time.monotonic())
+
         try:
             while pending or solo or in_flight:
-                if solo:
-                    # crash recovery: run interrupted units one at a
-                    # time so a repeat death convicts exactly one unit
-                    if not in_flight:
-                        unit_id, spec = solo.popleft()
-                        if should_submit(unit_id):
-                            in_flight[pool.submit(
-                                process_worker, spec, options)] = (
-                                    unit_id, spec, time.monotonic())
-                        else:
-                            continue
+                try:
+                    if solo:
+                        # crash recovery: run interrupted units one at a
+                        # time so a repeat death convicts exactly one unit
+                        if not in_flight:
+                            unit_id, spec = solo.popleft()
+                            if not should_submit(unit_id):
+                                continue
+                            submit(solo, unit_id, spec)
+                    else:
+                        while pending and len(in_flight) < self.workers:
+                            unit_id, spec = pending.popleft()
+                            if should_submit(unit_id):
+                                submit(pending, unit_id, spec)
+                except BrokenProcessPool:
+                    # harvest what finished before the pool broke; the
+                    # rest of the flight is interrupted below
+                    broken = True
+                    done = {future for future in in_flight
+                            if future.done()}
                 else:
-                    while pending and len(in_flight) < self.workers:
-                        unit_id, spec = pending.popleft()
-                        if not should_submit(unit_id):
-                            continue
-                        in_flight[pool.submit(
-                            process_worker, spec, options)] = (
-                                unit_id, spec, time.monotonic())
-                if not in_flight:
-                    continue
-                done, _ = wait(set(in_flight), timeout=self.poll_interval,
-                               return_when=FIRST_COMPLETED)
+                    if not in_flight:
+                        continue
+                    broken = False
+                    done, _ = wait(set(in_flight),
+                                   timeout=self.poll_interval,
+                                   return_when=FIRST_COMPLETED)
                 interrupted: List[Tuple[str, UnitSpec]] = []
-                broken = False
                 flight_size = len(in_flight)
                 for future in done:
                     unit_id, spec, _started = in_flight.pop(future)
@@ -534,7 +551,7 @@ class ProcessBackend:
                         (uid, uspec)
                         for uid, uspec, _ in in_flight.values())
                     in_flight.clear()
-                    if flight_size == 1:
+                    if flight_size == 1 and interrupted:
                         uid = interrupted[0][0]
                         deaths[uid] = deaths.get(uid, 0) + 1
                         if deaths[uid] > self.max_respawns:

@@ -487,8 +487,7 @@ class ParallelRunner:
                     unit, units, stats, collected))
             else:
                 for unit in pending:
-                    self._execute(unit, units, stats, collected,
-                                  defer_manifest=unit is pending[-1])
+                    self._execute(unit, units, stats, collected)
         finally:
             if self._watchdog is not None:
                 self._watchdog.stop()
@@ -518,19 +517,12 @@ class ParallelRunner:
         return False
 
     def _execute(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
-                 stats: RunStats, collected: Dict[str, EvalResult], *,
-                 defer_manifest: bool = False) -> None:
-        """One unit on this thread (serial loop or thread pool).
-
-        ``defer_manifest`` skips the per-unit progress-manifest write;
-        the serial loop sets it for its final unit only, because
-        :meth:`EvalEngine.finalize` rewrites the manifest immediately
-        after the loop ends."""
+                 stats: RunStats, collected: Dict[str, EvalResult]) -> None:
+        """One unit on this thread (serial loop or thread pool)."""
         if self._admit(unit, all_units, stats):
             outcome = self.engine.evaluate(unit, self._watchdog,
                                            stats.unit(unit.unit_id))
-            self.engine.complete(unit, all_units, stats, collected, outcome,
-                                 defer_manifest=defer_manifest)
+            self.engine.complete(unit, all_units, stats, collected, outcome)
 
     def _run_process(self, pending: List[WorkUnit],
                      all_units: Sequence[WorkUnit], stats: RunStats,

@@ -16,11 +16,14 @@ service semantics on top:
   a queued job dies immediately, a running job stops at the next unit
   boundary with its completed units checkpointed (unit granularity —
   an in-flight unit finishes; docs/SERVICE.md);
-* **streaming** — every completed unit's *canonical checkpoint
-  payload* is appended to the job's result log via the engine's
-  ``on_unit_payload`` hook (the checkpoint's own bytes, serialized
-  once), so clients can stream and digest results incrementally with
-  an offset cursor (:meth:`Job.results_since`);
+* **streaming** — the engine's ``on_unit_payload`` hook fires once a
+  unit's *canonical checkpoint* is on disk, and the job's result log
+  records the unit id in completion order; :meth:`Job.results_since`
+  reads each streamed line back from the job's checkpoints (the
+  checkpoint's own bytes, serialized once), so clients can stream and
+  digest results incrementally with an offset cursor, and server
+  memory no longer grows with the number of jobs served by their
+  payloads — a finished job keeps only its status record;
 * **replicas** — ``"replicas": N`` in a spec serves each model through
   a :class:`~repro.service.router.ProviderRouter` over N identical
   provider instances with breaker-aware failover.
@@ -97,24 +100,35 @@ class Job:
         self.created_s = time.monotonic()
         self.finished_s: Optional[float] = None
         self._lock = threading.Lock()
-        self._results: List[str] = []
+        #: ids of the units whose checkpoints are streamed, in
+        #: completion order; the payloads stay on disk
+        self._unit_ids: List[str] = []
         self._terminal = threading.Event()
 
     # -- result streaming ----------------------------------------------------
 
-    def append_result(self, payload: str) -> None:
-        """Record one unit's canonical checkpoint payload."""
+    def append_result(self, unit_id: str) -> None:
+        """Record that ``unit_id``'s checkpoint is written."""
         with self._lock:
-            self._results.append(payload)
+            self._unit_ids.append(unit_id)
             self.units_done += 1
 
     def results_since(self, offset: int) -> Tuple[List[str], int, bool]:
         """Result lines from ``offset`` on, the next cursor, and
-        whether the job is terminal (no more lines will ever come)."""
+        whether the job is terminal (no more lines will ever come).
+
+        Each line is a unit's checkpoint, read back verbatim; a
+        checkpoint removed from the run dir raises ``OSError``.
+        """
+        # terminal is read first: once it is set no unit is appended,
+        # so a page that says complete can never miss a last line
+        complete = self._terminal.is_set()
         with self._lock:
-            lines = self._results[max(0, offset):]
-            next_offset = len(self._results)
-        return lines, next_offset, self._terminal.is_set()
+            unit_ids = self._unit_ids[max(0, offset):]
+            next_offset = len(self._unit_ids)
+        lines = [(self.run_dir / f"{unit_id}.jsonl").read_bytes()
+                 .decode("utf-8") for unit_id in unit_ids]
+        return lines, next_offset, complete
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -384,12 +398,11 @@ class JobQueue:
             run_dir=job.run_dir,
             backend=str(spec["backend"]),  # type: ignore[index]
             admission=self._job_admission(job),
-            # serialize-once: the stream receives each unit's canonical
-            # checkpoint bytes verbatim instead of re-encoding the
-            # result (the engine times the hand-off as the ``stream``
-            # stage)
+            # the engine calls the hook after the unit's checkpoint is
+            # written, so the stream can serve those bytes from disk
+            # (the engine times the hand-off as the ``stream`` stage)
             on_unit_payload=lambda unit, payload: job.append_result(
-                payload),
+                unit.unit_id),
         )
         outcome = runner.run(units)
         job.units_failed = len(outcome.failures)

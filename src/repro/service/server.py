@@ -13,9 +13,11 @@ the repo.  Endpoints:
                                           is saturated; 400 on a bad spec
 ``GET  /v1/jobs/<id>``                    job status snapshot (404 unknown)
 ``GET  /v1/jobs/<id>/results?offset=N``   incremental result lines —
-                                          canonical checkpoint payloads —
+                                          canonical checkpoint payloads,
+                                          read from the job's run dir —
                                           plus the next cursor and a
-                                          ``complete`` flag
+                                          ``complete`` flag; 410 when a
+                                          checkpoint was removed
 ``POST /v1/jobs/<id>/cancel``             request cancellation (unit
                                           granularity; see docs/SERVICE.md)
 ``GET  /metrics``                         Prometheus text exposition of
@@ -158,7 +160,12 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             self._send_json(400, {"error": "offset must be an integer"})
             return
-        lines, next_offset, complete = job.results_since(offset)
+        try:
+            lines, next_offset, complete = job.results_since(offset)
+        except OSError as exc:
+            self._send_json(410, {"error": f"results of job {job_id!r} "
+                                           f"are gone: {exc}"})
+            return
         self._send_json(200, {
             "lines": lines,
             "next_offset": next_offset,

@@ -92,20 +92,37 @@ def content_key(visual: VisualContent) -> str:
     """Stable digest of everything that determines a visual's raster
     and legibility: the render spec, dimensions, type, description and
     declared legibility scale.  Equal-content visuals — however and
-    whenever constructed — share one key."""
-    payload = json.dumps(
-        (
-            visual.visual_type.value,
-            visual.description,
-            visual.render_spec,
-            visual.width,
-            visual.height,
-            visual.legibility_scale,
-        ),
-        sort_keys=True,
-        default=_jsonable,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    whenever constructed — share one key.
+
+    Memoised on the instance, as ``runcache.question_digest`` is: every
+    render, legibility and perception lookup asks for the key, so
+    serialising the scene and hashing it on each call dominated a
+    sweep's per-question CPU.  ``VisualContent`` is a frozen dataclass
+    and no code mutates a ``render_spec`` after construction
+    (``tests/test_visual.py`` pins both), so the key is stashed on the
+    instance the first time; ``dataclasses.replace`` builds a new
+    instance and therefore a fresh key.
+    """
+    cached = visual.__dict__.get("_content_key")
+    if cached is None:
+        payload = json.dumps(
+            (
+                visual.visual_type.value,
+                visual.description,
+                visual.render_spec,
+                visual.width,
+                visual.height,
+                visual.legibility_scale,
+            ),
+            sort_keys=True,
+            default=_jsonable,
+            # scene specs are trees of literals; skipping the cycle
+            # check makes the one computation per instance ~25% faster
+            check_circular=False,
+        )
+        cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        object.__setattr__(visual, "_content_key", cached)
+    return cached
 
 
 def render(visual: VisualContent, use_cache: bool = True) -> np.ndarray:

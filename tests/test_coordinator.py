@@ -4,6 +4,9 @@ quarantine, and multi-node fleets converging byte-identically to a
 single-runner run through node deaths and heartbeat blackouts."""
 
 import json
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.core.faults import (
     FaultBoundary,
     GateBoundary,
     NodeCrashBoundary,
+    NodeKilled,
     PermanentError,
 )
 from repro.core.harness import EvaluationHarness
@@ -439,6 +443,51 @@ class TestBreakerIntegration:
 
 
 class TestProcessNodes:
+    def test_node_worker_forks_never_overlap(self, chipvqa, tmp_path,
+                                             monkeypatch):
+        """Two process nodes start at once, each forking its worker.  A
+        fork inside another's launch window hands the second worker the
+        first one's sentinel pipe, which hides the first worker's death
+        (no ``BrokenProcessPool``), so launches must never overlap."""
+        from multiprocessing import popen_fork
+
+        launch = popen_fork.Popen._launch
+        counts = {"active": 0, "peak": 0}
+        lock = threading.Lock()
+
+        def slow_launch(popen, process_obj):
+            with lock:
+                counts["active"] += 1
+                counts["peak"] = max(counts["peak"], counts["active"])
+            try:
+                time.sleep(0.05)  # widen the window the race needs
+                return launch(popen, process_obj)
+            finally:
+                with lock:
+                    counts["active"] -= 1
+
+        monkeypatch.setattr(popen_fork.Popen, "_launch", slow_launch)
+        coordinator = SweepCoordinator(nodes=2, node_backend="process",
+                                       run_dir=tmp_path, lease_s=60.0)
+        units = _units(chipvqa, ("gpt-4o", "llava-7b"))
+        assert not coordinator.run(units).failures
+        assert counts["peak"] == 1
+
+    def test_submit_to_a_dead_group_is_a_node_death(self):
+        """A group whose worker died after its last unit returned
+        refuses the next submit; that is a node death, not a crash of
+        the run."""
+
+        class _DeadGroup:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("worker died after its last unit")
+
+        node = Node("node-0", "process")
+        node._pool = _DeadGroup()
+        with pytest.raises(NodeKilled, match="worker process died"):
+            node.execute(spec=None, options=None)
+        assert node._pool is None
+
     def test_process_fleet_matches_inline_bytes(self, chipvqa, tmp_path):
         units = _units(chipvqa, ("gpt-4o", "llava-7b"))
         proc_dir = tmp_path / "proc"

@@ -7,6 +7,8 @@ import hashlib
 import os
 import pickle
 import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -320,6 +322,27 @@ class _KillEveryTime(FaultBoundary):
             os.kill(os.getpid(), signal.SIGKILL)
 
 
+class _BreaksOnThirdSubmit(ProcessPoolExecutor):
+    """A pool whose third ``submit`` finds it broken — the race where a
+    worker dies after the backend's last ``wait`` returned."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        if self.submits == 3:
+            raise BrokenProcessPool("worker died between wait and submit")
+        return super().submit(*args, **kwargs)
+
+
+class _SubmitRaceBackend(ProcessBackend):
+    def _new_pool(self):
+        return _BreaksOnThirdSubmit(max_workers=self.workers,
+                                    mp_context=self._mp_context)
+
+
 class TestProcessFailureHandling:
     def test_wedged_worker_is_killed_and_timed_out(self, chipvqa):
         """A worker that wedges inside a model call (where cooperative
@@ -364,6 +387,26 @@ class TestProcessFailureHandling:
                 "completed"
             assert len(outcome.results[survivor.unit_id]) == len(subset)
         assert set(outcome.failures) == {units[1].unit_id}
+
+    def test_pool_broken_at_submit_reruns_without_losing_the_run(
+            self, chipvqa, tmp_path):
+        """A ``BrokenProcessPool`` raised by ``submit`` itself takes the
+        rebuild-and-rerun path: every unit completes with the serial
+        run's checkpoint bytes, and the unit being submitted is not
+        charged a worker death."""
+        subset = chipvqa.by_category(Category.DIGITAL)
+        units = [WorkUnit(model=build_model(name), dataset=subset,
+                          setting=WITH_CHOICE)
+                 for name in ("gpt-4o", "llava-7b", "kosmos-2")]
+        ParallelRunner(run_dir=tmp_path / "serial").run(units)
+        runner = ParallelRunner(workers=2,
+                                backend=_SubmitRaceBackend(workers=2),
+                                run_dir=tmp_path / "process")
+        outcome = runner.run(units)
+        assert not outcome.failures
+        assert run_dir_digest(tmp_path / "process") == \
+            run_dir_digest(tmp_path / "serial")
+        assert runner.last_stats.unit(units[2].unit_id).worker_respawns == 0
 
 
 class TestAsyncBackendSemantics:

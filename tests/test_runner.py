@@ -3,6 +3,8 @@ tolerance (retry/backoff, permanent-failure isolation) and
 checkpoint/resume."""
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from repro.core.faults import (
 )
 from repro.core.harness import EvaluationHarness, run_table2
 from repro.core.question import Category
+from repro.core.resilience import CircuitBreaker
 from repro.core.runcache import RunCache
 from repro.core.runner import (
     ParallelRunner,
@@ -335,6 +338,121 @@ class TestTelemetry:
         assert second.stats.cache_hits == n
         assert second.stats.cache_misses == 0
         assert second.stats.cache_hit_rate() == 1.0
+
+
+class _Clock:
+    """A manually advanced engine clock."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def _count_manifest_writes(runner):
+    """Record, per ``write_manifest`` call, the manifest it wrote."""
+    engine = runner.engine
+    write = engine.write_manifest
+    written = []
+
+    def counted(units, stats, extra=None):
+        write(units, stats, extra)
+        written.append(read_manifest(engine.run_dir))
+
+    engine.write_manifest = counted
+    return written
+
+
+class TestManifestWritePolicy:
+    """The progress manifest is written at most once a second of the
+    engine's clock while units complete, at once on an admission
+    refusal, and always at ``finalize``."""
+
+    MODELS = ("gpt-4o", "llava-7b", "kosmos-2", "fuyu-8b")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_write_when_the_clock_stands_still(self, chipvqa, tmp_path,
+                                                   workers):
+        units = _units(chipvqa, self.MODELS)
+        runner = ParallelRunner(workers=workers, run_dir=tmp_path,
+                                clock=_Clock())
+        written = _count_manifest_writes(runner)
+        runner.run(units)
+        assert len(written) == 1
+        assert written[0]["totals"]["completed"] == 4
+
+    def test_writes_at_most_once_per_elapsed_second(self, chipvqa,
+                                                    tmp_path):
+        clock = _Clock()
+
+        def advance(unit, payload):
+            clock.now += 0.6
+
+        units = _units(chipvqa, self.MODELS)
+        runner = ParallelRunner(run_dir=tmp_path, clock=clock,
+                                on_unit_payload=advance)
+        written = _count_manifest_writes(runner)
+        runner.run(units)
+        before_finalize = len(written) - 1
+        assert 1 <= before_finalize <= int(clock.now)
+        # each progress write shows the units completed so far
+        assert [m["totals"]["completed"] for m in written] == [2, 4, 4]
+
+    def test_concurrent_completions_claim_one_write(self, chipvqa,
+                                                    tmp_path):
+        """Eight pool threads on a smaller host complete at once,
+        switching often: the one interval that elapses yields exactly
+        one progress write."""
+        readings = iter([0.0])  # the run starts at 0, then reads 5 s
+        units = _units(chipvqa, ("gpt-4o", "llava-7b", "llava-13b",
+                                 "llava-34b", "kosmos-2", "fuyu-8b",
+                                 "paligemma", "neva-22b"))
+        barrier = threading.Barrier(len(units), timeout=60)
+        runner = ParallelRunner(workers=len(units), run_dir=tmp_path,
+                                clock=lambda: next(readings, 5.0),
+                                on_unit_payload=lambda *_: barrier.wait())
+        written = _count_manifest_writes(runner)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.run(units)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(written) == 2
+        assert written[-1]["totals"]["completed"] == 8
+
+    def test_admission_refusal_writes_at_once(self, chipvqa, tmp_path):
+        breaker = CircuitBreaker(failure_threshold=1)
+        breaker.record_failure("gpt-4o", "provider down")
+        units = [WorkUnit(model=build_model("gpt-4o"),
+                          dataset=chipvqa.by_category(category),
+                          setting=WITH_CHOICE)
+                 for category in (Category.DIGITAL, Category.ANALOG)]
+        units += _units(chipvqa, ("llava-7b",))
+        runner = ParallelRunner(run_dir=tmp_path, clock=_Clock(),
+                                breaker=breaker)
+        written = _count_manifest_writes(runner)
+        runner.run(units)
+        assert [m["totals"]["fast_failed"] for m in written] == [1, 2, 2]
+        assert written[-1]["totals"]["completed"] == 1
+
+    def test_final_manifest_keeps_its_shape(self, chipvqa, tmp_path):
+        ParallelRunner(run_dir=tmp_path, clock=_Clock()).run(
+            _units(chipvqa, self.MODELS))
+        manifest = read_manifest(tmp_path)
+        assert set(manifest) == {"format_version", "units", "totals"}
+        assert set(manifest["totals"]) == {
+            "units", "completed", "failed", "resumed", "fast_failed",
+            "timed_out", "quarantined", "corrupt_checkpoints",
+            "stale_checkpoints", "retries", "cache_hits", "cache_misses",
+            "cache_hit_rate", "wall_time_s", "perf_caches"}
+        assert [set(unit) for unit in manifest["units"]] == [{
+            "unit_id", "status", "attempts", "retries", "wall_time_s",
+            "cache_hits", "cache_misses", "queue_depth", "quarantined",
+            "corrupt_checkpoints", "stale_checkpoints", "worker_respawns",
+            "node", "steals", "error", "path", "provider",
+            "provider_fingerprint"}] * 4
 
 
 @pytest.mark.slow

@@ -425,3 +425,48 @@ class TestRenderCacheContentKeying:
         for t in threads:
             t.join()
         assert not errors
+
+
+class TestContentKeyMemo:
+    """``content_key`` is stashed on each ``VisualContent`` the first
+    time it is asked for, so the key must never outlive the content."""
+
+    def test_key_is_computed_once_per_instance(self, monkeypatch):
+        import repro.visual
+
+        visual = _fill_visual(12)
+        first = content_key(visual)
+        monkeypatch.setattr(repro.visual, "hashlib", None)  # no rehash
+        assert content_key(visual) == first
+
+    def test_specs_survive_a_full_run_and_memo_matches_fresh_key(self):
+        """No code mutates a ``render_spec`` after its visual is built,
+        so a memoised key always equals the key of a fresh instance."""
+        import copy
+        import dataclasses
+
+        from repro.agent.system import run_table3
+        from repro.core.benchmark import (build_chipvqa,
+                                          build_chipvqa_challenge)
+        from repro.core.databuild import build_scaled
+        from repro.core.harness import EvaluationHarness, run_table2
+        from repro.models import build_model
+
+        scaled = build_scaled(284, seed=1)
+        collections = (build_chipvqa(), build_chipvqa_challenge(),
+                       list(scaled)[142:])
+        visuals = {id(visual): visual
+                   for collection in collections for question in collection
+                   for visual in (question.visual, *question.extra_visuals)}
+        specs = {key: copy.deepcopy(visual.render_spec)
+                 for key, visual in visuals.items()}
+        run_table2(["gpt-4o", "llava-7b"])
+        EvaluationHarness().resolution_study(build_model("gpt-4o"),
+                                             factors=(1, 8, 16))
+        run_table3()
+        for key, visual in visuals.items():
+            assert visual.render_spec == specs[key]
+            assert content_key(visual) == content_key(
+                dataclasses.replace(visual))
+            assert content_key(dataclasses.replace(
+                visual, width=visual.width + 1)) != content_key(visual)
