@@ -8,7 +8,7 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     python_requires=">=3.9",
     entry_points={"console_scripts": ["chipvqa-repro=repro.cli:main"]},
 )

@@ -36,7 +36,6 @@ whichever driver ran the sweep.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import threading
@@ -372,6 +371,8 @@ class EvalEngine:
         awaited through ``scheduler`` (rate pacing, hedging) and backoff
         suspends the coroutine — unless a test injected ``sleep``, which
         is honoured as-is so one fixture drives both drivers."""
+        import asyncio  # only the async driver loads it
+
         steps = self._lifecycle(unit, watchdog, unit_stats)
         reply: object = None
         error: Optional[BaseException] = None

@@ -35,23 +35,18 @@ units one at a time so the culprit is identified without collateral
 damage; a unit whose solo worker keeps dying is recorded ``failed``.  A
 wedged worker — one that blows past the parent-side hard deadline — is
 killed and its unit recorded ``timed_out``.  See ``docs/RUNNER.md``.
+
+``multiprocessing``, the process pool and asyncio are imported where
+:class:`ProcessBackend` and :class:`AsyncBackend` first use them, so the
+serial and thread paths load none of them.
 """
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 import pickle
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -62,6 +57,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     TYPE_CHECKING,
     Tuple,
     Union,
@@ -79,6 +75,9 @@ from repro.models.providers import (
 )
 
 if TYPE_CHECKING:  # runtime imports are deferred: runner imports us
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.context import BaseContext
+
     from repro.core.runner import RetryPolicy, WorkUnit
 
 #: Names accepted by :func:`create_backend` (and ``--backend``).
@@ -376,11 +375,13 @@ class ThreadBackend:
             return [future.result() for future in futures]
 
 
-def default_mp_context() -> multiprocessing.context.BaseContext:
+def default_mp_context() -> BaseContext:
     """Prefer ``fork`` when available: workers inherit warm caches and
     runtime registrations (providers, dataset builders); fall back to
     the platform default elsewhere.  Shared by :class:`ProcessBackend`
     and the sweep coordinator's process-mode nodes."""
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -418,7 +419,7 @@ class ProcessBackend:
     def __init__(
         self,
         workers: int,
-        mp_context: Optional[multiprocessing.context.BaseContext] = None,
+        mp_context: Optional[BaseContext] = None,
         max_respawns: int = 2,
         poll_interval: float = 0.05,
         hard_deadline_factor: float = 2.0,
@@ -441,6 +442,8 @@ class ProcessBackend:
                 + self.hard_deadline_grace)
 
     def _new_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=self.workers,
                                    mp_context=self._mp_context)
 
@@ -474,18 +477,25 @@ class ProcessBackend:
     ) -> None:
         """Drive ``items`` (unit-id, spec pairs) to completion.
 
-        ``should_submit`` is consulted immediately before each (re-)
-        submission — returning ``False`` skips the unit (the runner
-        uses this for circuit-breaker fast-fails).  ``on_result``
-        receives exactly one terminal :class:`WorkerResult` per
-        non-skipped unit.  Unexpected worker exceptions (anything that
-        is not a model fault) propagate to the caller, matching
-        in-process semantics.
+        ``should_submit`` is consulted once per unit, immediately before
+        its first submission — returning ``False`` skips the unit (the
+        runner admits units through it: circuit-breaker fast-fails and
+        quarantine).  A unit re-submitted later (a solo re-run after a
+        worker death, a unit ``submit`` found the pool broken for, a
+        survivor of a hard-deadline kill) was admitted already and is
+        not asked again, so a half-open breaker's trial is not refused
+        by its own second ask.  ``on_result`` receives exactly one
+        terminal :class:`WorkerResult` per non-skipped unit.  Unexpected
+        worker exceptions (anything that is not a model fault) propagate
+        to the caller, matching in-process semantics.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         ensure_picklable(items, options)
         pending: Deque[Tuple[str, UnitSpec]] = deque(items)
         solo: Deque[Tuple[str, UnitSpec]] = deque()
         deaths: Dict[str, int] = {}
+        admitted: Set[str] = set()
         hard = self.hard_deadline(options.deadline_s)
         in_flight: Dict[Future, Tuple[str, UnitSpec, float]] = {}
         pool = self._new_pool()
@@ -509,13 +519,12 @@ class ProcessBackend:
                         # time so a repeat death convicts exactly one unit
                         if not in_flight:
                             unit_id, spec = solo.popleft()
-                            if not should_submit(unit_id):
-                                continue
                             submit(solo, unit_id, spec)
                     else:
                         while pending and len(in_flight) < self.workers:
                             unit_id, spec = pending.popleft()
-                            if should_submit(unit_id):
+                            if unit_id in admitted or should_submit(unit_id):
+                                admitted.add(unit_id)
                                 submit(pending, unit_id, spec)
                 except BrokenProcessPool:
                     # harvest what finished before the pool broke; the
@@ -674,6 +683,8 @@ class AsyncBackend:
         whose evaluation never otherwise yields (zero simulated
         latency).
         """
+        import asyncio
+
         async def main() -> List[Any]:
             semaphore = asyncio.Semaphore(self.workers)
 

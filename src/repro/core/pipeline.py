@@ -43,12 +43,14 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from repro.core import databuild, perfstats
 from repro.core.databuild import StreamingDataset
 from repro.core.dataset import Dataset
+
+if TYPE_CHECKING:  # the pool is imported where a process builder starts
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["Prefetcher", "ShardPrefetcher"]
 
@@ -342,6 +344,8 @@ class ShardPrefetcher(Prefetcher):
     def start(self) -> "ShardPrefetcher":
         if (self.builder == "process" and self._pool is None
                 and not self._threads):
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_builder_init,

@@ -502,15 +502,14 @@ class ParallelRunner:
     # -- unit execution ------------------------------------------------------
 
     def _admit(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
-               stats: RunStats, first_start: bool = True) -> bool:
-        """Driver prologue: queue-depth bookkeeping on a unit's first
-        start, then the engine's admission gate; a refusal lands in the
-        progress manifest at once."""
+               stats: RunStats) -> bool:
+        """Driver prologue, once per unit: queue-depth bookkeeping, then
+        the engine's admission gate; a refusal lands in the progress
+        manifest at once."""
         unit_stats = stats.unit(unit.unit_id)
-        if first_start:
-            with self._depth_lock:
-                self._not_started -= 1
-                unit_stats.queue_depth = self._not_started
+        with self._depth_lock:
+            self._not_started -= 1
+            unit_stats.queue_depth = self._not_started
         if self.engine.admit(unit, unit_stats):
             return True
         self.engine.write_manifest(all_units, stats)
@@ -530,11 +529,11 @@ class ParallelRunner:
         """Fan pending units out over worker processes.
 
         The parent keeps everything that must stay single-writer:
-        admission (at submission time), the completion epilogue
-        (checkpoint writes via the injectable writer, so the chaos
-        harness still intercepts them; manifest updates) and
-        perf-counter absorption.  Workers return canonical checkpoint
-        payloads; the parent writes them verbatim.
+        admission (once, before a unit's first submission), the
+        completion epilogue (checkpoint writes via the injectable
+        writer, so the chaos harness still intercepts them; manifest
+        updates) and perf-counter absorption.  Workers return canonical
+        checkpoint payloads; the parent writes them verbatim.
         """
         engine = self.engine
         options = executor_mod.WorkerOptions(
@@ -547,12 +546,9 @@ class ParallelRunner:
                         if self.spill_dir is not None else None),
         )
         by_id = {unit.unit_id: unit for unit in pending}
-        started: set = set()
 
         def should_submit(unit_id: str) -> bool:
-            first_start = unit_id not in started  # respawns don't re-count
-            started.add(unit_id)
-            return self._admit(by_id[unit_id], all_units, stats, first_start)
+            return self._admit(by_id[unit_id], all_units, stats)
 
         def on_result(unit_id: str,
                       outcome: executor_mod.WorkerResult) -> None:

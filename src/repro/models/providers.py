@@ -39,15 +39,14 @@ alias each other's entries.  See ``docs/PROVIDERS.md``.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import threading
 import time
 from collections import deque
 from typing import (
-    Awaitable, Callable, Deque, Dict, List, Optional, Protocol,
-    Sequence, Set, runtime_checkable,
+    TYPE_CHECKING, Awaitable, Callable, Deque, Dict, List, Optional,
+    Protocol, Sequence, Set, runtime_checkable,
 )
 
 from repro.core import perfstats
@@ -55,12 +54,24 @@ from repro.core.faults import PermanentError, TransientModelError
 from repro.core.question import Question
 from repro.models.vlm import ModelAnswer, SimulatedVLM
 
+if TYPE_CHECKING:  # asyncio loads on the async path's first use
+    import asyncio
+
 
 def _fingerprint(payload: object) -> str:
     """Canonical sha256 digest of a JSON-serialisable config payload."""
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":"),
                    default=str).encode("utf-8")).hexdigest()
+
+
+async def _asyncio_sleep(delay: float) -> None:
+    """``asyncio.sleep``, the default async wait.  asyncio is imported
+    here and in the other coroutines, not at module level, so the
+    serial path never loads it."""
+    import asyncio
+
+    await asyncio.sleep(delay)
 
 
 @runtime_checkable
@@ -265,7 +276,7 @@ class RemoteStubProvider:
         rate_limit_burst: Optional[int] = None,
         rate_clock: Callable[[], float] = time.monotonic,
         jitter_per_call: bool = False,
-        async_sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
+        async_sleep: Callable[[float], Awaitable[None]] = _asyncio_sleep,
     ):
         if base_latency_s < 0 or jitter_s < 0:
             raise ValueError("latency and jitter must be >= 0")
@@ -724,6 +735,8 @@ class AsyncProviderAdapter:
             self, questions: Sequence[Question], setting: str,
             resolution_factor: int = 1,
             use_raster: bool = True) -> List[ModelAnswer]:
+        import asyncio
+
         return await asyncio.to_thread(
             self.inner.answer_batch, questions, setting,
             resolution_factor, use_raster=use_raster)
@@ -810,7 +823,7 @@ class TokenBucket:
 
     async def acquire(
             self, tokens: int = 1,
-            sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
+            sleep: Callable[[float], Awaitable[None]] = _asyncio_sleep,
     ) -> None:
         """Await until ``tokens`` are taken (client-side pacing)."""
         while True:
@@ -882,7 +895,7 @@ class AsyncCallScheduler:
                  hedge: Optional[HedgePolicy] = None,
                  clock: Callable[[], float] = time.monotonic,
                  async_sleep: Callable[
-                     [float], Awaitable[None]] = asyncio.sleep):
+                     [float], Awaitable[None]] = _asyncio_sleep):
         if rate_limit_per_s is not None and rate_limit_per_s <= 0:
             raise ValueError("rate_limit_per_s must be > 0")
         self.rate_limit_per_s = rate_limit_per_s
@@ -933,6 +946,8 @@ class AsyncCallScheduler:
             self,
             attempt: Callable[[], Awaitable[List[ModelAnswer]]],
     ) -> List[ModelAnswer]:
+        import asyncio
+
         tasks: List["asyncio.Task[List[ModelAnswer]]"] = [
             asyncio.ensure_future(attempt())]
         assert self.hedge is not None
@@ -1035,6 +1050,8 @@ class ContinuousBatcher:
         if one is free now, otherwise the moment a completing call
         refills.
         """
+        import asyncio
+
         loop = asyncio.get_running_loop()
         entry: Dict[str, object] = {
             "provider": provider,
@@ -1048,6 +1065,8 @@ class ContinuousBatcher:
 
     def _pump(self, refill: bool = False) -> None:
         """Launch homogeneous batches while slots and work remain."""
+        import asyncio
+
         while self._in_flight < self.max_in_flight and self._pending:
             key = self._pending[0]["key"]
             batch: List[Dict[str, object]] = []
@@ -1069,6 +1088,8 @@ class ContinuousBatcher:
             task.add_done_callback(self._tasks.discard)
 
     async def _dispatch(self, batch: List[Dict[str, object]]) -> None:
+        import asyncio
+
         provider = batch[0]["provider"]
         _, setting, resolution_factor, use_raster = batch[0]["key"]
         questions = [entry["question"] for entry in batch]

@@ -343,6 +343,24 @@ class _SubmitRaceBackend(ProcessBackend):
                                     mp_context=self._mp_context)
 
 
+class _FirstSubmitBreaksBackend(ProcessBackend):
+    """A backend whose first pool is found broken by its first
+    ``submit`` (so that unit never ran); later pools work."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pools = 0
+
+    def _new_pool(self):
+        self.pools += 1
+        pool = super()._new_pool()
+        if self.pools == 1:
+            def broken_submit(*args, **kwargs):
+                raise BrokenProcessPool("worker died before the first submit")
+            pool.submit = broken_submit
+        return pool
+
+
 class TestProcessFailureHandling:
     def test_wedged_worker_is_killed_and_timed_out(self, chipvqa):
         """A worker that wedges inside a model call (where cooperative
@@ -407,6 +425,34 @@ class TestProcessFailureHandling:
         assert run_dir_digest(tmp_path / "process") == \
             run_dir_digest(tmp_path / "serial")
         assert runner.last_stats.unit(units[2].unit_id).worker_respawns == 0
+
+    def test_resubmitted_breaker_trial_is_admitted_once(self, chipvqa,
+                                                        tmp_path):
+        """A unit that a broken pool refused at ``submit`` goes back to
+        the pool without a second admission: as a half-open breaker's
+        trial it completes with the serial run's checkpoint bytes and
+        closes the circuit, instead of being fast-failed by its own
+        second ask and holding the trial slot for the rest of the run."""
+        unit = WorkUnit(model=build_model("gpt-4o"),
+                        dataset=chipvqa.by_category(Category.DIGITAL),
+                        setting=WITH_CHOICE)
+        ParallelRunner(run_dir=tmp_path / "serial").run([unit])
+        now = [0.0]
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5,
+                                 clock=lambda: now[0])
+        breaker.record_failure("gpt-4o", "earlier outage")
+        now[0] = 10.0
+        assert breaker.state("gpt-4o") == "half_open"
+        backend = _FirstSubmitBreaksBackend(workers=1)
+        runner = ParallelRunner(workers=1, backend=backend, breaker=breaker,
+                                run_dir=tmp_path / "process")
+        outcome = runner.run([unit])
+        assert backend.pools == 2
+        assert not outcome.failures
+        assert runner.last_stats.unit(unit.unit_id).status == "completed"
+        assert run_dir_digest(tmp_path / "process") == \
+            run_dir_digest(tmp_path / "serial")
+        assert breaker.state("gpt-4o") == "closed"
 
 
 class TestAsyncBackendSemantics:
