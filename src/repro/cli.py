@@ -357,7 +357,6 @@ def _cmd_table2_service(args: argparse.Namespace) -> int:
             ("--limit", args.limit is not None),
             ("--dataset-seed", args.dataset_seed is not None),
             ("--samples", args.samples != 1),
-            ("--provider batched", args.provider == "batched"),
             ("--rate-limit", getattr(args, "rate_limit", None) is not None),
             ("--hedge-after",
              getattr(args, "hedge_after", None) is not None),
@@ -423,23 +422,14 @@ def _wrap_provider(provider, args: argparse.Namespace):
     ``local`` is the base provider untouched (the byte-identical
     reproduction path).  ``remote`` wraps it in a
     :class:`~repro.models.providers.RemoteStubProvider` with the
-    ``--latency`` / ``--failure-rate`` profile.  ``batched`` adds a
-    :class:`~repro.models.providers.BatchingProvider` on top (over the
-    remote stub when a latency/failure profile is given, else directly
-    over the base).  See docs/PROVIDERS.md.
+    ``--latency`` / ``--failure-rate`` profile.  See docs/PROVIDERS.md.
     """
-    from repro.models.providers import BatchingProvider, RemoteStubProvider
+    from repro.models.providers import RemoteStubProvider
 
     if args.provider == "local":
         return provider
-    if args.provider == "remote" or args.latency or args.failure_rate:
-        provider = RemoteStubProvider(provider,
-                                      base_latency_s=args.latency,
-                                      transient_rate=args.failure_rate)
-    if args.provider == "batched":
-        provider = BatchingProvider(provider,
-                                    max_batch_size=args.batch_size)
-    return provider
+    return RemoteStubProvider(provider, base_latency_s=args.latency,
+                              transient_rate=args.failure_rate)
 
 
 def _cmd_table2_scaled(args: argparse.Namespace) -> int:
@@ -711,23 +701,19 @@ def build_parser() -> argparse.ArgumentParser:
     p2 = sub.add_parser("table2", help="Table II zero-shot sweep")
     p2.add_argument("--models", nargs="*",
                     help="subset of zoo names (default: all twelve)")
-    p2.add_argument("--provider", choices=["local", "remote", "batched"],
+    p2.add_argument("--provider", choices=["local", "remote"],
                     default="local",
-                    help="serving path: in-process (local), simulated "
-                         "HTTP endpoint (remote), or batch-coalescing "
-                         "over the endpoint (batched); see "
+                    help="serving path: in-process (local) or a "
+                         "simulated HTTP endpoint (remote); see "
                          "docs/PROVIDERS.md")
-    p2.add_argument("--batch-size", type=int, default=16, metavar="N",
-                    help="max coalesced batch size for "
-                         "--provider batched")
     p2.add_argument("--latency", type=float, default=0.0, metavar="S",
                     help="simulated per-call endpoint latency in "
-                         "seconds (remote/batched providers)")
+                         "seconds (remote provider)")
     p2.add_argument("--failure-rate", type=float, default=0.0,
                     metavar="P",
                     help="simulated transient-failure probability per "
-                         "call (remote/batched providers); absorbed by "
-                         "the runner's retry path")
+                         "call (remote provider); absorbed by the "
+                         "runner's retry path")
     p2.add_argument("--workers", type=int, default=1,
                     help="parallel evaluation workers (1 = serial; "
                          "clamped to this machine's CPU count except "

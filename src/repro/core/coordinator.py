@@ -45,20 +45,18 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.core import executor as executor_mod
 from repro.core import perfstats, results_io
 from repro.core.engine import EvalEngine, payload_digest
 from repro.core.faults import (
-    CompositeBoundary,
     FaultBoundary,
     FileHeartbeatBoundary,
     HeartbeatBoundary,
@@ -77,6 +75,9 @@ from repro.core.runner import (
     WorkUnit,
 )
 
+if TYPE_CHECKING:  # a process node imports the pool where it forks
+    from concurrent.futures import ProcessPoolExecutor
+
 #: Re-exported for convenience; the constant lives in results_io so
 #: ``verify_run`` can special-case the file without importing us.
 COMMIT_LOG_NAME = results_io.COMMIT_LOG_NAME
@@ -86,6 +87,9 @@ GENESIS = "0" * 64
 
 #: Node execution modes accepted by :class:`SweepCoordinator`.
 NODE_BACKENDS: Tuple[str, ...] = ("inline", "process")
+
+#: How long a finished run waits for each healthy node thread to exit.
+DRAIN_TIMEOUT_S = 10.0
 
 
 class CommitConflict(RuntimeError):
@@ -450,15 +454,6 @@ class ResultStore:
                     "store_digest_reuse": self.digest_reuse}
 
 
-#: Held while a process node submits; a node's first submit forks its
-#: worker.  Under ``fork``, a node thread forking while another is
-#: between ``fork()`` and closing its end of the new worker's sentinel
-#: pipe hands that end to the second worker, so the first worker's
-#: death raises no ``BrokenProcessPool`` for as long as the second
-#: lives, and its unit waits out a lease instead of being requeued.
-_SPAWN_LOCK = threading.Lock()
-
-
 class Node:
     """One member of the coordinator's fleet.
 
@@ -466,18 +461,19 @@ class Node:
     :func:`repro.core.executor.process_worker` — the same code path as
     a worker process, minus the fork; right for the API-bound regime
     and for deterministic tests.  ``mode="process"`` gives the node a
-    single-worker process group; a broken group (SIGKILL, segfault)
-    raises :class:`~repro.core.faults.NodeKilled`, which is a *node
-    death*, not a unit failure — the coordinator requeues the unit and
-    retires the node (no respawn; that is
+    single-worker process group, built, forked (under the process-wide
+    spawn lock) and killed by a
+    :class:`~repro.core.executor.ProcessBackend`; a broken group
+    (SIGKILL, segfault) raises :class:`~repro.core.faults.NodeKilled`,
+    which is a *node death*, not a unit failure — the coordinator
+    requeues the unit and retires the node (no respawn; that is
     :class:`~repro.core.executor.ProcessBackend`'s job for worker-level
     deaths).
     """
 
     def __init__(self, node_id: str, mode: str,
                  clock: Callable[[], float] = time.monotonic,
-                 heartbeat_path: "Optional[Path | str]" = None,
-                 mp_context=None) -> None:
+                 heartbeat_path: "Optional[Path | str]" = None) -> None:
         if mode not in NODE_BACKENDS:
             raise ValueError(
                 f"unknown node backend {mode!r}; expected one of "
@@ -487,12 +483,15 @@ class Node:
         self._clock = clock
         self.heartbeat_path = (Path(heartbeat_path)
                                if heartbeat_path is not None else None)
-        self._mp_context = mp_context
         self.last_beat = clock()
         self._hb_mtime = -1.0
         self.lost = False
         self.busy = False
         self.current_unit: Optional[str] = None
+        #: the group's owner; inline nodes build none, so they never
+        #: load multiprocessing
+        self._backend = (executor_mod.ProcessBackend(1)
+                         if mode == "process" else None)
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def begin(self, unit_id: str, now: float) -> None:
@@ -530,14 +529,6 @@ class Node:
             return True
         return False
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=(self._mp_context
-                            or executor_mod.default_mp_context()))
-        return self._pool
-
     def execute(self, spec: executor_mod.UnitSpec,
                 options: executor_mod.WorkerOptions,
                 poll_interval: float = 0.05) -> executor_mod.WorkerResult:
@@ -548,14 +539,18 @@ class Node:
         the node lost mid-execution (the group is then killed rather
         than left running as a zombie committer).
         """
-        if self.mode == "inline":
+        backend = self._backend
+        if backend is None:  # inline
             return executor_mod.process_worker(spec, options)
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
+            if self._pool is None:
+                self._pool = backend._new_pool()
             # submit raises BrokenProcessPool itself when the group died
             # after its last unit returned
-            with _SPAWN_LOCK:
-                future = self._ensure_pool().submit(
-                    executor_mod.process_worker, spec, options)
+            future = backend.submit(self._pool, executor_mod.process_worker,
+                                    spec, options)
             while True:
                 try:
                     return future.result(timeout=poll_interval)
@@ -599,8 +594,7 @@ class SweepCoordinator:
     ``heartbeat_timeout_s`` (default ``2 * lease_s``) is the harsher
     threshold past which a busy, silent node is declared *lost* — its
     unit is stolen either way, but a lost node is also retired from
-    the fleet and its late result dropped.  ``drain_timeout_s`` bounds
-    the post-run join of healthy node threads.
+    the fleet and its late result dropped.
     """
 
     def __init__(
@@ -618,13 +612,11 @@ class SweepCoordinator:
         lease_s: float = 30.0,
         heartbeat_timeout_s: Optional[float] = None,
         poll_interval: float = 0.02,
-        drain_timeout_s: float = 10.0,
         store_dir: "Optional[Path | str]" = None,
         spill_dir: "Optional[Path | str]" = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         checkpoint_writer: Optional[Callable[[Path, str], None]] = None,
-        mp_context=None,
     ) -> None:
         if nodes < 1:
             raise ValueError("nodes must be >= 1")
@@ -656,12 +648,10 @@ class SweepCoordinator:
                                     if heartbeat_timeout_s is not None
                                     else 2.0 * lease_s)
         self.poll_interval = poll_interval
-        self.drain_timeout_s = drain_timeout_s
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._clock = clock
         self._sleep = sleep
-        self._mp_context = mp_context
         #: RunStats of the most recent :meth:`run` (for CLI summaries).
         self.last_stats: Optional[RunStats] = None
         self._lock = threading.Lock()
@@ -747,8 +737,7 @@ class SweepCoordinator:
         fleet = [
             Node(f"node-{index}", self.node_backend, self._clock,
                  heartbeat_path=(hb_dir / f"node-{index}.beat"
-                                 if hb_dir is not None else None),
-                 mp_context=self._mp_context)
+                                 if hb_dir is not None else None))
             for index in range(self.nodes)
         ]
         self._fleet = fleet
@@ -770,7 +759,7 @@ class SweepCoordinator:
             self._done.set()
             for node, thread in zip(fleet, threads):
                 if not node.lost:
-                    thread.join(timeout=self.drain_timeout_s)
+                    thread.join(timeout=DRAIN_TIMEOUT_S)
             for node in fleet:
                 node.shutdown()
 
@@ -857,26 +846,13 @@ class SweepCoordinator:
         user boundary raises.  Inline nodes beat in-thread; process
         nodes touch their heartbeat file and attach the spill tier in
         the worker."""
-        engine = self.engine
-        spill_root: Optional[str] = None
-        heartbeat: FaultBoundary
         if node.mode == "inline":
-            heartbeat = HeartbeatBoundary(
-                lambda node=node: self._on_beat(node))
-        else:
-            heartbeat = FileHeartbeatBoundary(str(node.heartbeat_path))
-            if self.spill_dir is not None:
-                spill_root = str(self.spill_dir)
-        boundary = engine.fault_boundary
-        return executor_mod.WorkerOptions(
-            harness=engine.harness,
-            retry=engine.retry,
-            fault_boundary=(CompositeBoundary(heartbeat, boundary)
-                            if boundary is not None else heartbeat),
-            quarantine=engine.admission.quarantine,
-            deadline_s=engine.admission.deadline_s,
-            spill_root=spill_root,
-        )
+            return executor_mod.WorkerOptions.for_engine(
+                self.engine, heartbeat=HeartbeatBoundary(
+                    lambda node=node: self._on_beat(node)))
+        return executor_mod.WorkerOptions.for_engine(
+            self.engine, self.spill_dir,
+            FileHeartbeatBoundary(str(node.heartbeat_path)))
 
     def _node_loop(self, node: Node, specs: Dict[str, executor_mod.UnitSpec],
                    all_units: Sequence[WorkUnit], stats: RunStats,
@@ -971,10 +947,6 @@ class SweepCoordinator:
             with self._lock:
                 self._counters[counter] += 1
             return
-        if node.mode == "process":
-            # inline nodes share our counters; absorbing them too
-            # would double-count
-            stats.absorb_perf_caches(outcome.perf_delta)
         status = self.engine.complete(unit, all_units, stats, collected,
                                       outcome, node=node.node_id)
         with self._lock:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -410,7 +411,8 @@ class EvalEngine:
         deadline = self.admission.deadline(clock=self.clock)
         if deadline is not None and watchdog is not None:
             watchdog.register(unit.unit_id, deadline, unit_stats)
-        outcome = WorkerResult(unit_id=unit.unit_id, status="completed")
+        outcome = WorkerResult(unit_id=unit.unit_id, status="completed",
+                               pid=os.getpid())
         start = time.perf_counter()
         perf_before = perfstats.snapshot()
         try:
@@ -521,7 +523,8 @@ class EvalEngine:
                  outcome: WorkerResult, *,
                  node: Optional[str] = None) -> str:
         """Completion epilogue shared by every driver: fold the counters
-        into the unit's stats; checkpoint a completed unit's canonical
+        into the unit's stats (and a worker process's cache-counter
+        movement into the run's); checkpoint a completed unit's canonical
         bytes (through the commit log when attached), attach telemetry,
         tell the breaker, stream the payload; write the progress
         manifest once :data:`MANIFEST_INTERVAL_S` of the engine's clock
@@ -531,6 +534,10 @@ class EvalEngine:
         ``EvalResult``.  Returns the commit status when a commit log is
         attached, else the unit's status.
         """
+        if outcome.pid != os.getpid():
+            # counters a worker process moved, which this process's
+            # perfstats.snapshot() cannot see
+            stats.absorb_perf_caches(outcome.perf_delta)
         unit_stats = stats.unit(unit.unit_id)
         for counter in OUTCOME_COUNTERS:
             setattr(unit_stats, counter, getattr(outcome, counter))

@@ -29,6 +29,11 @@ checkpoint payload — the parent writes it verbatim, so process-backend
 artifacts are byte-identical to the serial and thread paths (pinned by
 ``tests/test_executor.py``).
 
+Each backend runs its own units (``run_units(pending, driver)``); the
+driving :class:`~repro.core.runner.ParallelRunner` admits, evaluates and
+completes each one.  :class:`ProcessBackend` owns every process pool in
+the package, and every submit to one holds a process-wide spawn lock.
+
 Worker failure is part of the contract: a dead worker process
 (``BrokenProcessPool``) rebuilds the pool and re-runs the interrupted
 units one at a time so the culprit is identified without collateral
@@ -44,13 +49,13 @@ serial and thread paths load none of them.
 from __future__ import annotations
 
 import pickle
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Awaitable,
     Callable,
     Deque,
     Dict,
@@ -64,7 +69,7 @@ from typing import (
 )
 
 from repro.core import perfstats
-from repro.core.faults import FaultBoundary
+from repro.core.faults import CompositeBoundary, FaultBoundary
 from repro.core.metrics import EvalResult
 from repro.core.resilience import AdmissionPolicy, QuarantinePolicy
 from repro.models.providers import (
@@ -76,9 +81,9 @@ from repro.models.providers import (
 
 if TYPE_CHECKING:  # runtime imports are deferred: runner imports us
     from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing.context import BaseContext
 
-    from repro.core.runner import RetryPolicy, WorkUnit
+    from repro.core.engine import EvalEngine
+    from repro.core.runner import ParallelRunner, RetryPolicy, WorkUnit
 
 #: Names accepted by :func:`create_backend` (and ``--backend``).
 BACKEND_NAMES: Tuple[str, ...] = ("serial", "thread", "process", "async")
@@ -241,6 +246,26 @@ class WorkerOptions:
     deadline_s: Optional[float] = None
     spill_root: Optional[str] = None
 
+    @classmethod
+    def for_engine(cls, engine: "EvalEngine", spill_dir: Any = None,
+                   heartbeat: Optional[FaultBoundary] = None
+                   ) -> "WorkerOptions":
+        """The options that rerun ``engine``'s attempt loop in a worker,
+        with ``heartbeat`` (a fleet node's) leading the fault boundary
+        and ``spill_dir`` the spill tier the worker attaches."""
+        boundary = engine.fault_boundary
+        if heartbeat is not None:
+            boundary = (CompositeBoundary(heartbeat, boundary)
+                        if boundary is not None else heartbeat)
+        return cls(
+            harness=engine.harness,
+            retry=engine.retry,
+            fault_boundary=boundary,
+            quarantine=engine.admission.quarantine,
+            deadline_s=engine.admission.deadline_s,
+            spill_root=str(spill_dir) if spill_dir is not None else None,
+        )
+
 
 @dataclass
 class WorkerResult:
@@ -253,9 +278,10 @@ class WorkerResult:
     (``results_io.dumps(result, telemetry=False)``), written verbatim by
     the parent — the property that keeps process-backend artifacts
     byte-identical to the thread path.  ``perf_delta`` is the unit's
-    perception-substrate counter movement; a worker process's is folded
-    back into :attr:`~repro.core.runner.RunStats.perf_caches` by the
-    parent.
+    perception-substrate counter movement and ``pid`` the process that
+    evaluated the unit; the completion epilogue folds the delta of any
+    other process back into
+    :attr:`~repro.core.runner.RunStats.perf_caches`.
     """
 
     unit_id: str
@@ -271,6 +297,7 @@ class WorkerResult:
     wall_time_s: float = 0.0
     worker_respawns: int = 0  # filled in by the parent
     perf_delta: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    pid: Optional[int] = None  # None: the parent made up the outcome
 
 
 def process_worker(spec: UnitSpec, options: WorkerOptions) -> WorkerResult:
@@ -336,6 +363,12 @@ def ensure_picklable(items: Sequence[Tuple[str, UnitSpec]],
 # -- backends ----------------------------------------------------------------
 
 
+def _run_unit(driver: "ParallelRunner", unit: "WorkUnit") -> None:
+    """One unit on the calling thread: admit, evaluate, complete."""
+    if driver.admit(unit):
+        driver.complete(unit, driver.evaluate(unit))
+
+
 class SerialBackend:
     """In-process, in-order execution — the ``workers=1`` path."""
 
@@ -345,6 +378,12 @@ class SerialBackend:
                   fn: Callable[[Any], Any]) -> List[Any]:
         """Apply ``fn`` to every unit, in order, on the calling thread."""
         return [fn(unit) for unit in units]
+
+    def run_units(self, pending: "Sequence[WorkUnit]",
+                  driver: "ParallelRunner") -> None:
+        """Run every unit to completion, in order, on this thread."""
+        for unit in pending:
+            _run_unit(driver, unit)
 
 
 class ThreadBackend:
@@ -367,28 +406,34 @@ class ThreadBackend:
         """Apply ``fn`` to every unit across the thread pool.
 
         Results come back in submission order; the first exception
-        propagates after the pool drains, exactly like the historical
-        inline pool in :meth:`ParallelRunner.run`.
+        propagates after the pool drains.
         """
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures = [pool.submit(fn, unit) for unit in units]
             return [future.result() for future in futures]
 
-
-def default_mp_context() -> BaseContext:
-    """Prefer ``fork`` when available: workers inherit warm caches and
-    runtime registrations (providers, dataset builders); fall back to
-    the platform default elsewhere.  Shared by :class:`ProcessBackend`
-    and the sweep coordinator's process-mode nodes."""
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+    def run_units(self, pending: "Sequence[WorkUnit]",
+                  driver: "ParallelRunner") -> None:
+        """Run the units across the thread pool; a lone unit needs no
+        pool and runs on this thread."""
+        if len(pending) > 1:
+            self.map_units(pending, lambda unit: _run_unit(driver, unit))
+        else:
+            for unit in pending:
+                _run_unit(driver, unit)
 
 
-#: Backwards-compatible private alias.
-_default_context = default_mp_context
+#: Held around every process-pool submit in the process; a pool's first
+#: submit forks its workers.  Under ``fork``, a thread forking while
+#: another is between ``fork()`` and closing its end of the new worker's
+#: sentinel pipe hands that end to the second worker, so the first
+#: worker's death raises no ``BrokenProcessPool`` for as long as the
+#: second lives.
+_SPAWN_LOCK = threading.Lock()
+
+#: Longest :meth:`ProcessBackend.run_units` waits on its in-flight units
+#: before it checks their hard deadlines again.
+POLL_INTERVAL_S = 0.05
 
 
 class ProcessBackend:
@@ -397,6 +442,11 @@ class ProcessBackend:
     Submission is windowed — at most ``workers`` units in flight — so
     circuit-breaker decisions are made against current state, exactly
     like thread-pool execution order would.
+
+    :meth:`_new_pool` builds every process pool in the package (fleet
+    nodes and process prefetch builders included), forking where
+    ``fork`` exists so workers inherit warm caches and runtime
+    registrations; :meth:`submit` is the one way work reaches a pool.
 
     Failure handling (see the module docstring):
 
@@ -419,20 +469,21 @@ class ProcessBackend:
     def __init__(
         self,
         workers: int,
-        mp_context: Optional[BaseContext] = None,
         max_respawns: int = 2,
-        poll_interval: float = 0.05,
         hard_deadline_factor: float = 2.0,
         hard_deadline_grace: float = 0.5,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        import multiprocessing
+
         self.workers = workers
         self.max_respawns = max_respawns
-        self.poll_interval = poll_interval
         self.hard_deadline_factor = hard_deadline_factor
         self.hard_deadline_grace = hard_deadline_grace
-        self._mp_context = mp_context or _default_context()
+        self._mp_context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None)
 
     def hard_deadline(self, deadline_s: Optional[float]) -> Optional[float]:
         """Parent-side wall bound per worker (``None`` = unbounded)."""
@@ -442,10 +493,20 @@ class ProcessBackend:
                 + self.hard_deadline_grace)
 
     def _new_pool(self) -> ProcessPoolExecutor:
+        """A pool of ``workers`` processes, forked by its first submit."""
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor(max_workers=self.workers,
                                    mp_context=self._mp_context)
+
+    @staticmethod
+    def submit(pool: ProcessPoolExecutor, fn: Callable[..., Any],
+               *args: Any) -> Future:
+        """``pool.submit(fn, *args)`` under the process-wide spawn lock
+        (:data:`_SPAWN_LOCK`); raises ``BrokenProcessPool`` when a
+        worker of ``pool`` died."""
+        with _SPAWN_LOCK:
+            return pool.submit(fn, *args)
 
     def map_units(self, units: Sequence[Any],
                   fn: Callable[[Any], Any]) -> List[Any]:
@@ -453,12 +514,13 @@ class ProcessBackend:
 
         The generic fan-out path (dataset shard builds and other pure
         CPU-bound jobs) — no retry/deadline machinery, results in
-        submission order, first exception propagates.  Evaluation units
-        go through :meth:`run_units`, which layers respawn and
-        hard-deadline handling on top of the pool.
+        submission order, the first exception propagates after the pool
+        drains.  Evaluation units go through :meth:`run_units`, which
+        layers respawn and hard-deadline handling on top of the pool.
         """
         with self._new_pool() as pool:
-            return list(pool.map(fn, units, chunksize=1))
+            futures = [self.submit(pool, fn, unit) for unit in units]
+            return [future.result() for future in futures]
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -468,31 +530,32 @@ class ProcessBackend:
             process.kill()
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def run_units(
-        self,
-        items: Sequence[Tuple[str, UnitSpec]],
-        options: WorkerOptions,
-        should_submit: Callable[[str], bool],
-        on_result: Callable[[str, WorkerResult], None],
-    ) -> None:
-        """Drive ``items`` (unit-id, spec pairs) to completion.
+    def run_units(self, pending: "Sequence[WorkUnit]",
+                  driver: "ParallelRunner") -> None:
+        """Drive ``pending`` to completion in worker processes.
 
-        ``should_submit`` is consulted once per unit, immediately before
-        its first submission — returning ``False`` skips the unit (the
-        runner admits units through it: circuit-breaker fast-fails and
-        quarantine).  A unit re-submitted later (a solo re-run after a
-        worker death, a unit ``submit`` found the pool broken for, a
-        survivor of a hard-deadline kill) was admitted already and is
-        not asked again, so a half-open breaker's trial is not refused
-        by its own second ask.  ``on_result`` receives exactly one
-        terminal :class:`WorkerResult` per non-skipped unit.  Unexpected
-        worker exceptions (anything that is not a model fault) propagate
-        to the caller, matching in-process semantics.
+        Each unit ships as its :class:`UnitSpec` with the driver's
+        engine configuration (:meth:`WorkerOptions.for_engine`); the
+        worker returns the canonical checkpoint payload, which
+        ``driver.complete`` writes verbatim.  ``driver.admit`` is asked
+        once per unit, immediately before its first submission; a
+        refused unit is skipped.  A unit re-submitted later (a solo
+        re-run after a worker death, a unit ``submit`` found the pool
+        broken for, a survivor of a hard-deadline kill) was admitted
+        already and is not asked again, so a half-open breaker's trial
+        is not refused by its own second ask.  ``driver.complete``
+        receives exactly one terminal :class:`WorkerResult` per admitted
+        unit.  Unexpected worker exceptions (anything that is not a
+        model fault) propagate to the caller, matching in-process
+        semantics.
         """
         from concurrent.futures.process import BrokenProcessPool
 
+        options = WorkerOptions.for_engine(driver.engine, driver.spill_dir)
+        by_id = {unit.unit_id: unit for unit in pending}
+        items = [(unit.unit_id, spec_for(unit)) for unit in pending]
         ensure_picklable(items, options)
-        pending: Deque[Tuple[str, UnitSpec]] = deque(items)
+        queue: Deque[Tuple[str, UnitSpec]] = deque(items)
         solo: Deque[Tuple[str, UnitSpec]] = deque()
         deaths: Dict[str, int] = {}
         admitted: Set[str] = set()
@@ -500,19 +563,19 @@ class ProcessBackend:
         in_flight: Dict[Future, Tuple[str, UnitSpec, float]] = {}
         pool = self._new_pool()
 
-        def submit(queue: Deque[Tuple[str, UnitSpec]], unit_id: str,
+        def submit(source: Deque[Tuple[str, UnitSpec]], unit_id: str,
                    spec: UnitSpec) -> None:
             try:
-                future = pool.submit(process_worker, spec, options)
+                future = self.submit(pool, process_worker, spec, options)
             except BrokenProcessPool:
                 # a worker died after the last wait returned: the unit
                 # never ran, so it goes back uncharged
-                queue.appendleft((unit_id, spec))
+                source.appendleft((unit_id, spec))
                 raise
             in_flight[future] = (unit_id, spec, time.monotonic())
 
         try:
-            while pending or solo or in_flight:
+            while queue or solo or in_flight:
                 try:
                     if solo:
                         # crash recovery: run interrupted units one at a
@@ -521,11 +584,12 @@ class ProcessBackend:
                             unit_id, spec = solo.popleft()
                             submit(solo, unit_id, spec)
                     else:
-                        while pending and len(in_flight) < self.workers:
-                            unit_id, spec = pending.popleft()
-                            if unit_id in admitted or should_submit(unit_id):
+                        while queue and len(in_flight) < self.workers:
+                            unit_id, spec = queue.popleft()
+                            if (unit_id in admitted
+                                    or driver.admit(by_id[unit_id])):
                                 admitted.add(unit_id)
-                                submit(pending, unit_id, spec)
+                                submit(queue, unit_id, spec)
                 except BrokenProcessPool:
                     # harvest what finished before the pool broke; the
                     # rest of the flight is interrupted below
@@ -536,8 +600,7 @@ class ProcessBackend:
                     if not in_flight:
                         continue
                     broken = False
-                    done, _ = wait(set(in_flight),
-                                   timeout=self.poll_interval,
+                    done, _ = wait(set(in_flight), timeout=POLL_INTERVAL_S,
                                    return_when=FIRST_COMPLETED)
                 interrupted: List[Tuple[str, UnitSpec]] = []
                 flight_size = len(in_flight)
@@ -547,7 +610,7 @@ class ProcessBackend:
                     if exc is None:
                         outcome = future.result()
                         outcome.worker_respawns = deaths.get(unit_id, 0)
-                        on_result(unit_id, outcome)
+                        driver.complete(by_id[unit_id], outcome)
                     elif isinstance(exc, BrokenProcessPool):
                         broken = True
                         interrupted.append((unit_id, spec))
@@ -564,7 +627,7 @@ class ProcessBackend:
                         uid = interrupted[0][0]
                         deaths[uid] = deaths.get(uid, 0) + 1
                         if deaths[uid] > self.max_respawns:
-                            on_result(uid, WorkerResult(
+                            driver.complete(by_id[uid], WorkerResult(
                                 unit_id=uid,
                                 status="failed",
                                 error=(f"WorkerCrash: worker process died "
@@ -586,7 +649,7 @@ class ProcessBackend:
                     if expired:
                         for future, (unit_id, spec, _started) in expired:
                             del in_flight[future]
-                            on_result(unit_id, WorkerResult(
+                            driver.complete(by_id[unit_id], WorkerResult(
                                 unit_id=unit_id,
                                 status="timed_out",
                                 error=(f"DeadlineExceeded: no result within "
@@ -601,7 +664,7 @@ class ProcessBackend:
                         in_flight.clear()
                         self._kill_pool(pool)
                         pool = self._new_pool()
-                        pending.extendleft(reversed(survivors))
+                        queue.extendleft(reversed(survivors))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -667,43 +730,46 @@ class AsyncBackend:
         self.last_scheduler = scheduler
         return scheduler
 
-    def map_units(self, units: Sequence[Any],
-                  fn: Callable[[Any], Awaitable[Any]]) -> List[Any]:
-        """Run ``fn`` (an async callable) over every unit on one loop.
+    def run_units(self, pending: "Sequence[WorkUnit]",
+                  driver: "ParallelRunner") -> None:
+        """Run the units as coroutines on one event loop, at most
+        ``workers`` at a time, with a fresh scheduler for the run.
 
-        At most ``workers`` units run concurrently (semaphore-bounded);
-        results come back in submission order.  An unexpected exception
-        (anything the runner's evaluation path did not absorb — e.g. an
-        injected crash from the chaos harness) propagates to the
-        caller and *stops the world*: sibling tasks are cancelled
-        before they can keep completing (and checkpointing) past the
-        failure, matching what a process death leaves behind.  The
-        ``sleep(0)`` after admission pins a suspension point at the
-        start of every unit, so cancellation can land even on units
-        whose evaluation never otherwise yields (zero simulated
-        latency).
+        An unexpected exception (anything the engine's attempt loop did
+        not absorb — e.g. an injected crash from the chaos harness)
+        propagates to the caller and *stops the world*: sibling tasks
+        are cancelled before they can keep completing (and
+        checkpointing) past the failure, matching what a process death
+        leaves behind.  The ``sleep(0)`` after the semaphore pins a
+        suspension point at the start of every unit, so cancellation
+        can land even on units whose evaluation never otherwise yields
+        (zero simulated latency).
         """
         import asyncio
 
-        async def main() -> List[Any]:
+        scheduler = self.make_scheduler()
+
+        async def main() -> None:
             semaphore = asyncio.Semaphore(self.workers)
 
-            async def guarded(unit: Any) -> Any:
+            async def run_unit(unit: "WorkUnit") -> None:
                 async with semaphore:
                     await asyncio.sleep(0)
-                    return await fn(unit)
+                    if driver.admit(unit):
+                        driver.complete(unit, await driver.evaluate_async(
+                            unit, scheduler))
 
-            tasks = [asyncio.ensure_future(guarded(unit))
-                     for unit in units]
+            tasks = [asyncio.ensure_future(run_unit(unit))
+                     for unit in pending]
             try:
-                return list(await asyncio.gather(*tasks))
+                await asyncio.gather(*tasks)
             except BaseException:
                 for task in tasks:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
                 raise
 
-        return asyncio.run(main())
+        asyncio.run(main())
 
 
 #: Any of the four concrete backends.

@@ -18,8 +18,9 @@ delivery**:
   :func:`~repro.core.databuild.prime_build_cache`) populate, so a
   prefetched sweep shares warm shards with any prior run;
   ``builder="process"`` moves the build CPU itself into a small child
-  pool (the threads become dispatchers), sidestepping the GIL when the
-  evaluating consumer is itself CPU-hungry;
+  pool from :class:`~repro.core.executor.ProcessBackend` (the threads
+  become dispatchers), sidestepping the GIL when the evaluating
+  consumer is itself CPU-hungry;
 * a **lookahead budget** of ``k`` bounds the number of items that are
   building or built-but-unconsumed at any instant, so resident memory
   stays O(lookahead × shard) no matter how far the builders could run
@@ -48,6 +49,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 from repro.core import databuild, perfstats
 from repro.core.databuild import StreamingDataset
 from repro.core.dataset import Dataset
+from repro.core.executor import ProcessBackend
 
 if TYPE_CHECKING:  # the pool is imported where a process builder starts
     from concurrent.futures import ProcessPoolExecutor
@@ -63,19 +65,6 @@ def _cpu_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _builder_init(spill_root: Optional[str]) -> None:
-    """Initializer for process-pool builders (runs once per child).
-
-    Warms the canonical build (mirroring
-    :func:`repro.core.databuild.build_shards`' pre-fork warm) and
-    attaches the same on-disk shard tier the parent uses, so child
-    builds write through to disk and later runs start warm.
-    """
-    databuild.canonical_cycle()
-    if spill_root is not None:
-        databuild.enable_build_cache(spill_root)
 
 
 def _warm_question_digests(built: Dict[str, Dataset]) -> None:
@@ -95,16 +84,20 @@ def _warm_question_digests(built: Dict[str, Dataset]) -> None:
             question_digest(question)
 
 
-def _build_shard_job(streams: Dict[str, StreamingDataset],
-                     index: int) -> Dict[str, Dataset]:
+def _build_shard_job(streams: Dict[str, StreamingDataset], index: int,
+                     spill_root: Optional[str]) -> Dict[str, Dataset]:
     """Worker body for process builders (top-level, picklable).
 
     The streams are plain value objects (total/seed/shard size), so the
     job pickle is tiny; the built shard travels back as the result
     pickle — a few hundred kilobytes, far cheaper for the parent to
     unpickle than to generate.  Digests warmed here ride along in each
-    question's instance state.
+    question's instance state.  ``spill_root`` attaches the parent's
+    on-disk shard tier, so child builds write through to disk and later
+    runs start warm.
     """
+    if spill_root is not None:
+        databuild.enable_build_cache(spill_root)
     built = {setting: stream.shard(index)
              for setting, stream in streams.items()}
     _warm_question_digests(built)
@@ -300,11 +293,11 @@ class ShardPrefetcher(Prefetcher):
     (default) builds on the pool threads — zero setup cost, but on
     CPython the GIL serialises builder CPU against the evaluating
     consumer, capping the overlap.  ``"process"`` dispatches each build
-    to a small :class:`~concurrent.futures.ProcessPoolExecutor` (the
-    pool threads become dispatchers blocking on futures), buying true
-    build/eval parallelism for a per-sweep pool spawn plus a
-    result-unpickle per shard; ``spill_dir`` is forwarded so child
-    builds write through the same on-disk shard tier.  Ordering,
+    to a small pool from :class:`~repro.core.executor.ProcessBackend`
+    (the pool threads become dispatchers blocking on futures), buying
+    true build/eval parallelism for a per-sweep pool spawn plus a
+    result-unpickle per shard; each build carries ``spill_dir``, so
+    child builds write through the same on-disk shard tier.  Ordering,
     backpressure and error delivery are identical in both modes.
     """
 
@@ -344,12 +337,9 @@ class ShardPrefetcher(Prefetcher):
     def start(self) -> "ShardPrefetcher":
         if (self.builder == "process" and self._pool is None
                 and not self._threads):
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_builder_init,
-                initargs=(self.spill_dir,))
+            # warm before the fork so the builders inherit it
+            databuild.canonical_cycle()
+            self._pool = ProcessBackend(self.workers)._new_pool()
         super().start()
         return self
 
@@ -363,8 +353,9 @@ class ShardPrefetcher(Prefetcher):
         if self._pool is not None:
             # the dispatcher thread blocks GIL-free on the future while
             # the child process does the build CPU
-            built = self._pool.submit(
-                _build_shard_job, self.streams, index).result()
+            built = ProcessBackend.submit(
+                self._pool, _build_shard_job, self.streams, index,
+                self.spill_dir).result()
             # mirror the process path of databuild.build_shards: re-enter
             # the returned base shard into the parent's cache (warm for
             # resume / later windows), then charge residency against the

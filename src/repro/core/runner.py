@@ -82,6 +82,7 @@ from repro.models.providers import (
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from repro.core.harness import EvaluationHarness
+    from repro.models.providers import AsyncCallScheduler
 
 __all__ = [
     "FAILURE_STATUSES", "MANIFEST_FORMAT_VERSION", "MANIFEST_NAME",
@@ -390,8 +391,10 @@ class ParallelRunner:
     replaces the atomic checkpoint write (the chaos harness injects
     crashes and torn writes through it).
 
-    Each unit's lifecycle is the :attr:`engine`'s; the runner picks the
-    thread, coroutine or worker process that runs it.
+    Each unit's lifecycle is the :attr:`engine`'s, and the backend runs
+    the units: it calls back :meth:`admit`, :meth:`evaluate` (or
+    :meth:`evaluate_async`) and :meth:`complete` for each, over the
+    current run's units, stats and collected results.
     """
 
     def __init__(
@@ -407,7 +410,6 @@ class ParallelRunner:
         breaker: Optional[CircuitBreaker] = None,
         quarantine: Optional[QuarantinePolicy] = None,
         deadline_s: Optional[float] = None,
-        watchdog_interval: float = 0.05,
         clock: Callable[[], float] = time.monotonic,
         checkpoint_writer: Optional[Callable[[Path, str], None]] = None,
         backend: "Optional[str | executor_mod.ExecutionBackend]" = None,
@@ -437,11 +439,13 @@ class ParallelRunner:
             fault_boundary=fault_boundary, sleep=sleep, clock=clock)
         #: the run cache (the engine's), shared by every run of this runner
         self.cache = self.engine.cache
-        self.watchdog_interval = watchdog_interval
         #: RunStats of the most recent :meth:`run` (for CLI summaries).
         self.last_stats: Optional[RunStats] = None
+        self._units: List[WorkUnit] = []
+        self._stats = RunStats()
+        self._collected: Dict[str, EvalResult] = {}
         self._watchdog: Optional[Watchdog] = None
-        self._depth_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._not_started = 0
 
     # -- public API ----------------------------------------------------------
@@ -452,42 +456,14 @@ class ParallelRunner:
         units = list(units)
         stats = RunStats()
         self.last_stats = stats
-        engine = self.engine
-        collected, pending = engine.prepare(units, stats)
+        collected, pending = self.engine.prepare(units, stats)
+        self._units, self._stats, self._collected = units, stats, collected
         self._not_started = len(pending)
         if self.spill_dir is not None:
             perfstats.enable_spill(self.spill_dir)
-        backend = self.backend
-        is_process = isinstance(backend, executor_mod.ProcessBackend)
-        if engine.admission.deadline_s is not None and not is_process:
-            # process-backend deadlines are enforced in the workers
-            # (cooperatively) and by the backend's hard kill, not here
-            self._watchdog = Watchdog(
-                clock=engine.clock, interval=self.watchdog_interval,
-                on_timeout=lambda uid: engine.write_manifest(units, stats))
-            self._watchdog.start()
         try:
-            if pending and is_process:
-                self._run_process(pending, units, stats, collected)
-            elif pending and isinstance(backend, executor_mod.AsyncBackend):
-                scheduler = backend.make_scheduler()
-
-                async def execute(unit: WorkUnit) -> None:
-                    if self._admit(unit, units, stats):
-                        outcome = await engine.evaluate_async(
-                            unit, scheduler, self._watchdog,
-                            stats.unit(unit.unit_id))
-                        engine.complete(unit, units, stats, collected,
-                                        outcome)
-
-                backend.map_units(pending, execute)
-            elif (isinstance(backend, executor_mod.ThreadBackend)
-                    and len(pending) > 1):
-                backend.map_units(pending, lambda unit: self._execute(
-                    unit, units, stats, collected))
-            else:
-                for unit in pending:
-                    self._execute(unit, units, stats, collected)
+            if pending:
+                self.backend.run_units(pending, self)
         finally:
             if self._watchdog is not None:
                 self._watchdog.stop()
@@ -497,69 +473,57 @@ class ParallelRunner:
                 # keep consulting (or repopulating) the disk tier
                 perfstats.disable_spill()
 
-        return engine.finalize(units, stats, collected)
+        return self.engine.finalize(units, stats, collected)
 
-    # -- unit execution ------------------------------------------------------
+    # -- the unit steps a backend drives -------------------------------------
 
-    def _admit(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
-               stats: RunStats) -> bool:
-        """Driver prologue, once per unit: queue-depth bookkeeping, then
-        the engine's admission gate; a refusal lands in the progress
-        manifest at once."""
-        unit_stats = stats.unit(unit.unit_id)
-        with self._depth_lock:
+    def admit(self, unit: WorkUnit) -> bool:
+        """Once per unit, before it first runs: queue-depth bookkeeping,
+        then the engine's admission gate; a refusal lands in the
+        progress manifest at once."""
+        unit_stats = self._stats.unit(unit.unit_id)
+        with self._lock:
             self._not_started -= 1
             unit_stats.queue_depth = self._not_started
         if self.engine.admit(unit, unit_stats):
             return True
-        self.engine.write_manifest(all_units, stats)
+        self.engine.write_manifest(self._units, self._stats)
         return False
 
-    def _execute(self, unit: WorkUnit, all_units: Sequence[WorkUnit],
-                 stats: RunStats, collected: Dict[str, EvalResult]) -> None:
-        """One unit on this thread (serial loop or thread pool)."""
-        if self._admit(unit, all_units, stats):
-            outcome = self.engine.evaluate(unit, self._watchdog,
-                                           stats.unit(unit.unit_id))
-            self.engine.complete(unit, all_units, stats, collected, outcome)
+    def evaluate(self, unit: WorkUnit) -> executor_mod.WorkerResult:
+        """Run ``unit``'s attempt loop on the calling thread."""
+        return self.engine.evaluate(unit, self._watch(),
+                                    self._stats.unit(unit.unit_id))
 
-    def _run_process(self, pending: List[WorkUnit],
-                     all_units: Sequence[WorkUnit], stats: RunStats,
-                     collected: Dict[str, EvalResult]) -> None:
-        """Fan pending units out over worker processes.
+    async def evaluate_async(self, unit: WorkUnit,
+                             scheduler: "AsyncCallScheduler"
+                             ) -> executor_mod.WorkerResult:
+        """Run ``unit``'s attempt loop on the event loop, with its
+        provider calls going through ``scheduler``."""
+        return await self.engine.evaluate_async(
+            unit, scheduler, self._watch(), self._stats.unit(unit.unit_id))
 
-        The parent keeps everything that must stay single-writer:
-        admission (once, before a unit's first submission), the
-        completion epilogue (checkpoint writes via the injectable
-        writer, so the chaos harness still intercepts them; manifest
-        updates) and perf-counter absorption.  Workers return canonical
-        checkpoint payloads; the parent writes them verbatim.
-        """
-        engine = self.engine
-        options = executor_mod.WorkerOptions(
-            harness=engine.harness,
-            retry=engine.retry,
-            fault_boundary=engine.fault_boundary,
-            quarantine=engine.admission.quarantine,
-            deadline_s=engine.admission.deadline_s,
-            spill_root=(str(self.spill_dir)
-                        if self.spill_dir is not None else None),
-        )
-        by_id = {unit.unit_id: unit for unit in pending}
+    def complete(self, unit: WorkUnit,
+                 outcome: executor_mod.WorkerResult) -> None:
+        """The engine's completion epilogue, into the current run."""
+        self.engine.complete(unit, self._units, self._stats,
+                             self._collected, outcome)
 
-        def should_submit(unit_id: str) -> bool:
-            return self._admit(by_id[unit_id], all_units, stats)
-
-        def on_result(unit_id: str,
-                      outcome: executor_mod.WorkerResult) -> None:
-            stats.absorb_perf_caches(outcome.perf_delta)
-            engine.complete(by_id[unit_id], all_units, stats, collected,
-                            outcome)
-
-        assert isinstance(self.backend, executor_mod.ProcessBackend)
-        self.backend.run_units(
-            [(unit.unit_id, executor_mod.spec_for(unit)) for unit in pending],
-            options, should_submit, on_result)
+    def _watch(self) -> Optional[Watchdog]:
+        """The run's deadline watchdog, started by its first in-process
+        evaluation; worker processes check their deadlines themselves,
+        and the process backend kills a wedged one."""
+        if self.engine.admission.deadline_s is None:
+            return None
+        with self._lock:
+            if self._watchdog is None:
+                units, stats = self._units, self._stats
+                self._watchdog = Watchdog(
+                    clock=self.engine.clock,
+                    on_timeout=lambda uid: self.engine.write_manifest(
+                        units, stats))
+                self._watchdog.start()
+            return self._watchdog
 
 
 def read_manifest(run_dir: "Path | str") -> Dict[str, object]:

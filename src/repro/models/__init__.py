@@ -10,7 +10,6 @@ from repro.models.providers import (
     AsyncCallScheduler,
     AsyncModelProvider,
     AsyncProviderAdapter,
-    BatchingProvider,
     ContinuousBatcher,
     HedgePolicy,
     LocalProvider,
@@ -53,7 +52,6 @@ __all__ = [
     "TokenBucket",
     "LocalProvider",
     "RemoteStubProvider",
-    "BatchingProvider",
     "ProviderRegistry",
     "as_async_provider",
     "as_provider",

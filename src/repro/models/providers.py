@@ -7,7 +7,7 @@ swappable, latency-bearing *service* rather than an in-process object.
 This module is that seam: a :class:`ModelProvider` protocol every layer
 of the stack (harness, runner, agent vision tool, CLI) speaks, a
 registry resolving providers by name (so work units, checkpoints and
-manifests stay serializable), and three implementations:
+manifests stay serializable), and two implementations:
 
 * :class:`LocalProvider` — wraps the in-process simulated zoo with
   byte-identical behaviour; the default for every reproduction path;
@@ -15,19 +15,15 @@ manifests stay serializable), and three implementations:
   per-call latency, deterministic jitter, seeded transient/permanent
   failure injection and an optional server-side rate limit, so the
   resilience layer (retry, breakers, deadlines, quarantine) exercises
-  realistic fault profiles;
-* :class:`BatchingProvider` — a decorator coalescing per-question calls
-  into batches under a max-batch-size / max-wait policy, amortising
-  per-call overhead (see ``benchmarks/bench_batched_inference.py``).
+  realistic fault profiles.
 
 The API-bound regime (remote endpoints) additionally gets an **async
 seam**: an :class:`AsyncModelProvider` protocol (``answer_batch_async``)
 with :func:`as_async_provider` adapting any sync provider, a
 :class:`TokenBucket` rate limiter, an :class:`AsyncCallScheduler`
 (per-provider pacing plus :class:`HedgePolicy` request hedging), and a
-:class:`ContinuousBatcher` that keeps a rolling in-flight window full —
-refilling batches the moment slots drain instead of
-:class:`BatchingProvider`'s coalesce-then-drain (see
+:class:`ContinuousBatcher` that keeps a rolling in-flight window full,
+refilling batches the moment slots drain (see
 ``benchmarks/bench_continuous_batching.py``).  The executor's
 ``AsyncBackend`` is built on these pieces.
 
@@ -249,8 +245,8 @@ class RemoteStubProvider:
     tests and benchmarks measure policy, not wall-clock.
 
     Two transport knobs exist for the async/scheduling layer and are
-    deliberately *excluded* from the fingerprint (like
-    ``BatchingProvider.max_wait_s``, they shape timing, never answers):
+    deliberately *excluded* from the fingerprint (they shape timing,
+    never answers):
 
     * ``rate_limit_per_s`` / ``rate_limit_burst`` — server-side request
       budget; a call arriving with the bucket empty is rejected with a
@@ -464,210 +460,6 @@ class RemoteStubProvider:
         return (f"RemoteStubProvider({self.inner!r}, "
                 f"latency={self.base_latency_s}, "
                 f"transient_rate={self.transient_rate})")
-
-
-class BatchingProvider:
-    """Coalesce per-question calls into batches on an inner provider.
-
-    Remote endpoints charge a per-call overhead (connection setup,
-    queueing, scheduling) that per-question submission pays N times; a
-    coalesced request pays it once per batch.  This decorator
-    implements the standard dynamic-batching policy:
-
-    * :meth:`submit` is the coalescing path: concurrent callers (agent
-      sessions, interactive tools, per-question services) hand in
-      single questions, which block until either ``max_batch_size``
-      submissions have accumulated or ``max_wait_s`` has elapsed since
-      the batch opened — then *one* inner call serves the whole batch
-      and every submitter is woken with its own answer;
-    * ``answer_batch`` — an already-batched request — passes through
-      as a single inner call untouched.  Batching never *splits* a
-      batch: for quota-calibrated simulated models outcome planning is
-      cohort-dependent, so forwarding a work unit's full question list
-      in one call is what keeps Table II artifacts byte-identical.
-
-    Coalescing changes transport granularity only; the inner
-    provider's answer semantics apply per dispatched batch.  See
-    ``docs/PROVIDERS.md`` and ``benchmarks/bench_batched_inference.py``
-    for the throughput model.
-    """
-
-    def __init__(self, inner: ModelProvider, max_batch_size: int = 16,
-                 max_wait_s: float = 0.01,
-                 clock: Callable[[], float] = time.monotonic):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
-        self.inner = as_provider(inner)
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._condition = threading.Condition(self._lock)
-        self._queue: List[Dict[str, object]] = []
-        self._batch_opened = 0.0
-        # count of in-flight drains, not a flag: full-batch triggers may
-        # start a second drain while an earlier dispatch is still out,
-        # and a flag would read "idle" the moment either one finishes
-        self._draining = 0
-        #: telemetry: inner calls issued and questions they carried
-        self.batches = 0
-        self.batched_questions = 0
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    def config_fingerprint(self) -> str:
-        # max_wait_s is pure scheduling and excluded; the coalescing
-        # bound participates because it shapes what a dispatched batch
-        # can contain on the submit() path
-        return _fingerprint({
-            "provider": "batching",
-            "inner": self.inner.config_fingerprint(),
-            "max_batch_size": self.max_batch_size,
-        })
-
-    def _dispatch(self, questions: Sequence[Question], setting: str,
-                  resolution_factor: int,
-                  use_raster: bool) -> List[ModelAnswer]:
-        answers = self.inner.answer_batch(questions, setting,
-                                          resolution_factor,
-                                          use_raster=use_raster)
-        with self._lock:
-            self.batches += 1
-            self.batched_questions += len(questions)
-        return answers
-
-    def answer_batch(self, questions: Sequence[Question], setting: str,
-                     resolution_factor: int = 1,
-                     use_raster: bool = True) -> List[ModelAnswer]:
-        return self._dispatch(list(questions), setting, resolution_factor,
-                              use_raster)
-
-    # -- concurrent per-question coalescing --------------------------------
-
-    def submit(self, question: Question, setting: str,
-               resolution_factor: int = 1,
-               use_raster: bool = True) -> ModelAnswer:
-        """Submit one question; blocks until its batch is served.
-
-        Submissions sharing (setting, resolution, raster mode) coalesce;
-        a mismatched submission flushes the open batch first so a batch
-        is always homogeneous.  The submitter that fills the batch — or
-        the earliest waiter once ``max_wait_s`` has elapsed — drains it
-        with a single inner call and wakes the rest.
-        """
-        context = (setting, resolution_factor, use_raster)
-        entry: Dict[str, object] = {"question": question,
-                                    "context": context,
-                                    "answer": None, "error": None,
-                                    "done": False}
-        with self._condition:
-            while self._queue and self._queue[0]["context"] != context:
-                self._drain_locked()
-            if not self._queue:
-                self._batch_opened = self._clock()
-            self._queue.append(entry)
-            if len(self._queue) >= self.max_batch_size:
-                self._drain_locked()
-            while not entry["done"]:
-                if self._draining:
-                    self._condition.wait(timeout=0.001)
-                    continue
-                elapsed = self._clock() - self._batch_opened
-                if elapsed >= self.max_wait_s:
-                    self._drain_locked()
-                else:
-                    self._condition.wait(timeout=self.max_wait_s - elapsed)
-        if entry["error"] is not None:
-            raise entry["error"]  # type: ignore[misc]
-        return entry["answer"]  # type: ignore[return-value]
-
-    def flush(self) -> None:
-        """Serve any open batch immediately (end-of-stream)."""
-        with self._condition:
-            while self._queue:
-                self._drain_locked()
-
-    def _drain_locked(self) -> None:
-        """Serve up to ``max_batch_size`` queued entries; caller holds
-        the lock.  The bound is strict: a queue grown past it while a
-        prior dispatch was in flight drains in capped slices, and any
-        leftover re-opens the batch clock.
-
-        Exception safety is part of the contract: once entries are
-        sliced off the queue they are no longer reachable by any other
-        drainer, so *this* call must mark every one of them done — with
-        a stored error when dispatch produced no answers — before
-        letting anything propagate.  The drainer is just whichever
-        submitter triggered the drain; if it dies between slicing and
-        completion (a ``KeyboardInterrupt`` landing in the dispatch, an
-        injected clock raising) without that bookkeeping, its
-        co-batched waiters spin on ``entry["done"]`` forever (or —
-        worse — are woken with ``answer=None`` and silently corrupt
-        results).  Regression: ``tests/test_provider_contract.py::
-        TestBatchingProviderDrainSafety``.
-        """
-        batch = self._queue[: self.max_batch_size]
-        self._queue = self._queue[self.max_batch_size:]
-        if not batch:
-            return
-        self._draining += 1
-        try:
-            if self._queue:
-                self._batch_opened = self._clock()
-            setting, resolution_factor, use_raster = batch[0]["context"]
-            questions = [entry["question"] for entry in batch]
-            self._lock.release()
-            try:
-                try:
-                    answers = self._dispatch(questions, setting,
-                                             resolution_factor, use_raster)
-                    for entry, answer in zip(batch, answers):
-                        entry["answer"] = answer
-                except Exception as exc:  # propagate to every waiter
-                    for entry in batch:
-                        entry["error"] = exc
-            finally:
-                self._lock.acquire()
-        except BaseException as exc:
-            # a drain that dies outside the dispatch handler must still
-            # complete the sliced entries: waiters get a terminal error,
-            # the drainer re-raises the original
-            for entry in batch:
-                if entry["answer"] is None and entry["error"] is None:
-                    entry["error"] = RuntimeError(
-                        f"batch dispatch aborted: "
-                        f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            self._draining -= 1
-            for entry in batch:
-                entry["done"] = True
-            self._condition.notify_all()
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle support: the lock/condition pair is process-local and
-        dropped, along with any in-flight queue (waiters cannot cross a
-        process boundary — the destination starts with an empty batch)."""
-        state = dict(self.__dict__)
-        for key in ("_lock", "_condition", "_queue", "_draining"):
-            del state[key]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        """Rebuild synchronisation primitives and an empty queue."""
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._condition = threading.Condition(self._lock)
-        self._queue = []
-        self._draining = 0
-
-    def __repr__(self) -> str:
-        return (f"BatchingProvider({self.inner!r}, "
-                f"max_batch_size={self.max_batch_size})")
 
 
 # -- async seam ---------------------------------------------------------------
@@ -985,16 +777,16 @@ class AsyncCallScheduler:
 class ContinuousBatcher:
     """Continuous (rolling-refill) batching over async providers.
 
-    :class:`BatchingProvider` coalesces-then-drains: a batch fills (or
-    times out), one inner call serves it, and everything behind it
-    waits for that call to return before the next batch even opens —
-    at high endpoint latency the pipeline idles a full round-trip per
-    batch.  This is the vLLM-style serve/route alternative for the
-    asyncio path: up to ``max_in_flight`` inner calls run concurrently
-    and the moment one completes its slot is refilled from the pending
-    queue, so the in-flight window never drains to empty while work
-    remains (``benchmarks/bench_continuous_batching.py`` quantifies the
-    gap).
+    A coalesce-then-drain batcher lets a batch fill (or time out), has
+    one inner call serve it, and opens the next batch only when that
+    call returns — at high endpoint latency the pipeline idles a full
+    round-trip per batch.  This is the vLLM-style serve/route
+    alternative for the asyncio path: up to ``max_in_flight`` inner
+    calls run concurrently and the moment one completes its slot is
+    refilled from the pending queue, so the in-flight window never
+    drains to empty while work remains
+    (``benchmarks/bench_continuous_batching.py`` measures it against
+    unbatched per-question calls).
 
     Submissions are grouped by (provider, setting, resolution, raster
     mode): a dispatched batch is always homogeneous — one provider, one

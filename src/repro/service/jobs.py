@@ -23,7 +23,8 @@ service semantics on top:
   checkpoint's own bytes, serialized once), so clients can stream and
   digest results incrementally with an offset cursor, and server
   memory no longer grows with the number of jobs served by their
-  payloads — a finished job keeps only its status record;
+  payloads — a finished job keeps only its status record, and only the
+  :data:`MAX_FINISHED_JOBS` most recently finished jobs keep even that;
 * **replicas** — ``"replicas": N`` in a spec serves each model through
   a :class:`~repro.service.router.ProviderRouter` over N identical
   provider instances with breaker-aware failover.
@@ -72,6 +73,10 @@ BACKENDS = ("serial", "thread", "process", "async")
 
 #: Default cap on queued-plus-running jobs before 503-style rejection.
 DEFAULT_MAX_PENDING = 64
+
+#: Finished jobs the queue remembers; past this, the one that finished
+#: first is forgotten and its id answers like an unknown one.
+MAX_FINISHED_JOBS = 256
 
 
 class JobRejected(RuntimeError):
@@ -187,7 +192,9 @@ class JobQueue:
     :class:`JobRejected`.  ``run_root`` holds one checkpoint directory
     per job (a temp directory by default).  ``harness`` is shared
     across jobs — the perception caches make consecutive jobs over the
-    same models dramatically cheaper.
+    same models dramatically cheaper.  Queued and running jobs are
+    always kept; of the finished ones, the last
+    :data:`MAX_FINISHED_JOBS` to finish are.
     """
 
     def __init__(
@@ -212,6 +219,8 @@ class JobQueue:
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
+        #: ids of finished jobs still in ``_jobs``, in finishing order
+        self._finished: Deque[str] = deque()
         self._queue: Deque[Job] = deque()
         self._running = 0
         self._shutdown = False
@@ -278,8 +287,8 @@ class JobQueue:
                 except ValueError:
                     pass  # a worker grabbed it; the event stops it
                 else:
-                    job.finish("cancelled", "cancelled before start")
-                    self._counters["jobs_cancelled"] += 1
+                    self._finish_locked(job, "cancelled",
+                                        "cancelled before start")
         return job
 
     def metrics(self) -> Dict[str, int]:
@@ -296,8 +305,7 @@ class JobQueue:
             self._shutdown = True
             while self._queue:
                 job = self._queue.popleft()
-                job.finish("cancelled", "queue shut down")
-                self._counters["jobs_cancelled"] += 1
+                self._finish_locked(job, "cancelled", "queue shut down")
             self._cv.notify_all()
         for thread in self._threads:
             thread.join(timeout=timeout)
@@ -316,13 +324,25 @@ class JobQueue:
             try:
                 self._execute(job)
             except BaseException as exc:  # the queue must survive a job
-                job.finish("failed", f"{type(exc).__name__}: {exc}")
                 with self._lock:
-                    self._counters["jobs_failed"] += 1
+                    self._finish_locked(job, "failed",
+                                        f"{type(exc).__name__}: {exc}")
             finally:
                 with self._cv:
                     self._running -= 1
                     self._cv.notify()
+
+    def _finish_locked(self, job: Job, status: str,
+                       error: Optional[str] = None) -> None:
+        """End ``job`` as ``status`` and count it, first forgetting the
+        earliest-finished jobs past :data:`MAX_FINISHED_JOBS`, so a
+        waiter woken by the finish sees the table already bounded
+        (caller holds the lock)."""
+        self._counters[f"jobs_{status}"] += 1
+        self._finished.append(job.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            self._jobs.pop(self._finished.popleft(), None)
+        job.finish(status, error)
 
     def _build_units(self, job: Job) -> list:
         from repro.core.benchmark import (build_chipvqa,
@@ -384,9 +404,9 @@ class JobQueue:
         from repro.core.runner import ParallelRunner
 
         if job.cancel_event.is_set():
-            job.finish("cancelled", "cancelled before start")
             with self._lock:
-                self._counters["jobs_cancelled"] += 1
+                self._finish_locked(job, "cancelled",
+                                    "cancelled before start")
             return
         job.status = "running"
         units = self._build_units(job)
@@ -406,23 +426,17 @@ class JobQueue:
         )
         outcome = runner.run(units)
         job.units_failed = len(outcome.failures)
-        with self._lock:
-            self._counters["units_evaluated"] += len(outcome.results)
+        status = "completed"
+        error: Optional[str] = None
         if job.cancel_event.is_set():
-            job.finish("cancelled", "cancelled mid-run; "
-                       f"{len(outcome.results)}/{len(units)} unit(s) "
-                       "completed")
-            with self._lock:
-                self._counters["jobs_cancelled"] += 1
+            status = "cancelled"
+            error = (f"cancelled mid-run; {len(outcome.results)}/"
+                     f"{len(units)} unit(s) completed")
         elif outcome.failures:
-            detail = "; ".join(
+            status = "failed"
+            error = f"{len(outcome.failures)} unit(s) failed: " + "; ".join(
                 f"{uid}: {err}"
                 for uid, err in sorted(outcome.failures.items()))
-            job.finish("failed",
-                       f"{len(outcome.failures)} unit(s) failed: {detail}")
-            with self._lock:
-                self._counters["jobs_failed"] += 1
-        else:
-            job.finish("completed")
-            with self._lock:
-                self._counters["jobs_completed"] += 1
+        with self._lock:
+            self._counters["units_evaluated"] += len(outcome.results)
+            self._finish_locked(job, status, error)

@@ -179,13 +179,6 @@ class TestProviderFlags:
                      "--provider", "remote"]) == 0
         assert capsys.readouterr().out == local_out
 
-    def test_table2_batched_provider_matches_local(self, capsys):
-        assert main(["table2", "--models", "kosmos-2"]) == 0
-        local_out = capsys.readouterr().out
-        assert main(["table2", "--models", "kosmos-2",
-                     "--provider", "batched", "--batch-size", "4"]) == 0
-        assert capsys.readouterr().out == local_out
-
     def test_table2_flaky_remote_recovers_via_retry(self, tmp_path,
                                                     capsys):
         """Injected transient failures are absorbed by the runner's

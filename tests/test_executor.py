@@ -7,6 +7,8 @@ import hashlib
 import os
 import pickle
 import signal
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -453,6 +455,107 @@ class TestProcessFailureHandling:
         assert run_dir_digest(tmp_path / "process") == \
             run_dir_digest(tmp_path / "serial")
         assert breaker.state("gpt-4o") == "closed"
+
+
+class TestSpawnLock:
+    """Every process pool in the process forks under one lock.  A fork
+    inside another pool's launch window hands the second worker the
+    first one's sentinel pipe, which hides the first worker's death
+    until the second worker exits."""
+
+    def test_concurrent_process_runs_never_overlap_forks(self, chipvqa,
+                                                         monkeypatch):
+        from multiprocessing import popen_fork
+
+        launch = popen_fork.Popen._launch
+        counts = {"active": 0, "peak": 0}
+        lock = threading.Lock()
+
+        def slow_launch(popen, process_obj):
+            with lock:
+                counts["active"] += 1
+                counts["peak"] = max(counts["peak"], counts["active"])
+            try:
+                time.sleep(0.05)  # widen the window the race needs
+                return launch(popen, process_obj)
+            finally:
+                with lock:
+                    counts["active"] -= 1
+
+        monkeypatch.setattr(popen_fork.Popen, "_launch", slow_launch)
+        subset = chipvqa.by_category(Category.DIGITAL)
+        barrier = threading.Barrier(2, timeout=60)
+        failures = []
+
+        def run(names):
+            units = [WorkUnit(model=build_model(name), dataset=subset,
+                              setting=WITH_CHOICE)
+                     for name in names]
+            runner = ParallelRunner(workers=2, backend="process")
+            barrier.wait()
+            failures.append(runner.run(units).failures)
+
+        threads = [threading.Thread(target=run, args=(names,))
+                   for names in (("gpt-4o", "llava-7b"),
+                                 ("kosmos-2", "gpt-4o"))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert failures == [{}, {}]
+        assert counts["peak"] == 1
+
+    def test_worker_death_seen_while_another_pool_runs(self, chipvqa,
+                                                      monkeypatch):
+        """Run A's only worker dies at its first question; run B's
+        worker, forked 50 ms later, works for about 2 s.  The parent
+        sleeps after each fork, which widens the window in which B's
+        fork could inherit A's sentinel pipe; A must still fail at
+        once, not when B's worker exits."""
+        real_fork = os.fork
+
+        def slow_fork():
+            pid = real_fork()
+            if pid:
+                time.sleep(0.2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", slow_fork)
+        subset = chipvqa.by_category(Category.DIGITAL)
+        runs = {
+            "a": (ParallelRunner(
+                      workers=1,
+                      backend=ProcessBackend(workers=1, max_respawns=0),
+                      fault_boundary=_KillEveryTime(subset[0].qid)),
+                  WorkUnit(model=build_model("gpt-4o"), dataset=subset,
+                           setting=WITH_CHOICE)),
+            "b": (ParallelRunner(
+                      workers=1, backend="process",
+                      fault_boundary=LatencyBoundary(per_question=0.05)),
+                  WorkUnit(model=build_model("kosmos-2"), dataset=subset,
+                           setting=WITH_CHOICE)),
+        }
+        walls = {}
+
+        def run(key):
+            runner, unit = runs[key]
+            start = time.monotonic()
+            runner.run([unit])
+            walls[key] = time.monotonic() - start
+
+        first = threading.Thread(target=run, args=("a",))
+        second = threading.Thread(target=run, args=("b",))
+        first.start()
+        time.sleep(0.05)
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        statuses = {key: runner.last_stats.unit(unit.unit_id).status
+                    for key, (runner, unit) in runs.items()}
+        assert statuses == {"a": "failed", "b": "completed"}
+        assert walls["a"] < walls["b"] / 2
 
 
 class TestAsyncBackendSemantics:

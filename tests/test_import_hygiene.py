@@ -1,7 +1,8 @@
 """Import hygiene, each check in a fresh interpreter: the collections
-build without networkx, and the serial paper path, from the library or
+build without networkx, the serial paper path, from the library or
 the CLI, loads neither asyncio nor a process pool (those load where the
-async and process backends first use them)."""
+async and process backends first use them), and an inline fleet, which
+never forks, loads no process pool either."""
 
 import json
 import os
@@ -74,3 +75,23 @@ print(json.dumps({"code": code, "row": "GPT4o" in table.getvalue(),
                   "loaded": [m for m in %r if m in sys.modules]}))
 """ % (NOT_ON_SERIAL_PATH,))
     assert out == {"code": 0, "row": True, "loaded": []}
+
+
+def test_inline_fleet_loads_no_process_pool():
+    out = run_fresh("""
+import json, sys
+from repro.core.benchmark import build_chipvqa
+from repro.core.coordinator import SweepCoordinator
+from repro.core.question import Category
+from repro.core.runner import WorkUnit
+from repro.models import WITH_CHOICE, build_model
+digital = build_chipvqa().by_category(Category.DIGITAL)
+units = [WorkUnit(model=build_model(name), dataset=digital,
+                  setting=WITH_CHOICE) for name in ("gpt-4o", "llava-7b")]
+outcome = SweepCoordinator(nodes=2).run(units)
+print(json.dumps({"completed": len(outcome.results),
+                  "loaded": [m for m in ("multiprocessing",
+                                         "concurrent.futures.process")
+                             if m in sys.modules]}))
+""")
+    assert out == {"completed": 2, "loaded": []}

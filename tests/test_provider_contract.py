@@ -5,16 +5,14 @@ the whole evaluation stack (harness, runner, agent, CLI) stands on, so
 every provider the default registry can produce is held to the same
 contract here: one answer per question in question order, deterministic
 replay across independently-built instances, stable content-addressed
-fingerprints, and — for the serving decorators — correct fault-boundary
-and batching behaviour.  The suite also pins the refactor's headline
+fingerprints, and — for the remote-endpoint decorator — correct
+fault-boundary behaviour.  The suite also pins the refactor's headline
 acceptance criterion: ``run_table2`` over the full zoo through
 ``LocalProvider`` reproduces the pre-refactor artifacts byte-for-byte.
 """
 
 import asyncio
 import hashlib
-import threading
-import time
 
 import pytest
 
@@ -25,7 +23,6 @@ from repro.core.runner import ParallelRunner, WorkUnit
 from repro.models import (
     WITH_CHOICE,
     AsyncModelProvider,
-    BatchingProvider,
     LocalProvider,
     ModelProvider,
     ProviderRegistry,
@@ -97,10 +94,7 @@ class TestFingerprintSeparation:
     def test_wrapping_changes_fingerprint(self):
         local = build_model("gpt-4o")
         remote = RemoteStubProvider(build_model("gpt-4o"))
-        batched = BatchingProvider(build_model("gpt-4o"))
-        fingerprints = {p.config_fingerprint()
-                        for p in (local, remote, batched)}
-        assert len(fingerprints) == 3
+        assert local.config_fingerprint() != remote.config_fingerprint()
 
     def test_remote_configuration_is_in_fingerprint(self):
         base = RemoteStubProvider(build_model("gpt-4o"), seed=1)
@@ -110,14 +104,6 @@ class TestFingerprintSeparation:
         assert (base.config_fingerprint()
                 != reseeded.config_fingerprint())
         assert base.config_fingerprint() != slower.config_fingerprint()
-
-    def test_batching_wait_policy_not_in_fingerprint(self):
-        """max_wait_s is pure scheduling: it cannot change any answer,
-        so it must not fragment the cache."""
-        fast = BatchingProvider(build_model("gpt-4o"), max_wait_s=0.0)
-        slow = BatchingProvider(build_model("gpt-4o"), max_wait_s=1.0)
-        assert fast.config_fingerprint() == slow.config_fingerprint()
-
 
 class TestLocalProvider:
     def test_rejects_incompatible_model(self):
@@ -232,66 +218,6 @@ class TestRemoteStubFaultBoundary:
         assert (outcome.result_for(flaky_unit).records
                 == baseline.result_for(base_unit).records)
         assert flaky.faults_injected > 0
-
-
-class TestBatchingProvider:
-    def test_answer_batch_is_single_passthrough(self, digital):
-        """A batch call is never split: quota-IRT outcome planning is
-        cohort-dependent, so one work unit must stay one inner call."""
-        provider = BatchingProvider(build_model("gpt-4o"),
-                                    max_batch_size=4)
-        direct = build_model("gpt-4o").answer_batch(
-            digital, WITH_CHOICE, use_raster=False)
-        answers = provider.answer_batch(digital, WITH_CHOICE,
-                                        use_raster=False)
-        assert answers == direct
-        assert provider.batches == 1
-        assert provider.batched_questions == len(digital)
-
-    def test_submit_coalesces_concurrent_callers(self, digital):
-        questions = digital[:8]
-        provider = BatchingProvider(build_model("gpt-4o"),
-                                    max_batch_size=len(questions),
-                                    max_wait_s=5.0)
-        answers = {}
-        barrier = threading.Barrier(len(questions))
-
-        def worker(question):
-            barrier.wait()
-            answers[question.qid] = provider.submit(
-                question, WITH_CHOICE, use_raster=False)
-
-        threads = [threading.Thread(target=worker, args=(q,))
-                   for q in questions]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert provider.batches == 1
-        assert provider.batched_questions == len(questions)
-        assert sorted(answers) == sorted(q.qid for q in questions)
-        for qid, answer in answers.items():
-            assert answer.qid == qid
-
-    def test_sequential_submit_drains_on_wait_expiry(self, digital):
-        provider = BatchingProvider(build_model("gpt-4o"),
-                                    max_batch_size=8, max_wait_s=0.0)
-        for question in digital[:3]:
-            answer = provider.submit(question, WITH_CHOICE,
-                                     use_raster=False)
-            assert answer.qid == question.qid
-        assert provider.batches == 3
-
-    def test_submit_propagates_inner_faults(self, digital):
-        provider = BatchingProvider(
-            RemoteStubProvider(build_model("gpt-4o"),
-                               permanent_rate=1.0),
-            max_batch_size=1)
-        with pytest.raises(PermanentError):
-            provider.submit(digital[0], WITH_CHOICE, use_raster=False)
-
-    def test_flush_without_queue_is_noop(self):
-        BatchingProvider(build_model("gpt-4o")).flush()
 
 
 class TestRegistry:
@@ -518,88 +444,3 @@ class TestAsyncRemoteStubFaultBoundary:
                                      jitter_per_call=True)
         assert (plain.config_fingerprint()
                 == limited.config_fingerprint())
-
-
-class TestBatchingProviderDrainSafety:
-    """Regression tests for the drain deadlock: a drainer that dies
-    between slicing a batch off the queue and completing it used to
-    strand co-batched waiters forever (the sliced entries were
-    unreachable by any other drainer, and with the old boolean
-    ``_draining`` flag a competing drain could also wedge)."""
-
-    class _Interrupt(BaseException):
-        """Non-``Exception`` failure landing mid-dispatch, like a
-        ``KeyboardInterrupt`` delivered to the draining thread."""
-
-    class _ExplodingModel:
-        """Inner provider whose dispatch dies with a BaseException."""
-
-        name = "exploding"
-
-        def config_fingerprint(self):
-            """Constant fingerprint; identity is irrelevant here."""
-            return "0" * 64
-
-        def answer_batch(self, questions, setting, resolution_factor=1,
-                         use_raster=True):
-            """Simulate an interrupt arriving inside the model call."""
-            raise TestBatchingProviderDrainSafety._Interrupt(
-                "interrupt mid-dispatch")
-
-    def test_co_batched_waiter_not_stranded_by_base_exception(
-            self, digital):
-        provider = BatchingProvider(self._ExplodingModel(),
-                                    max_batch_size=2, max_wait_s=30.0)
-        outcomes = {}
-
-        def submit(idx, question):
-            try:
-                outcomes[idx] = ("answer", provider.submit(
-                    question, WITH_CHOICE, use_raster=False))
-            except BaseException as exc:  # noqa: BLE001 - recording
-                outcomes[idx] = ("raised", exc)
-
-        first = threading.Thread(target=submit, args=(0, digital[0]))
-        first.start()
-        time.sleep(0.05)  # let the first submitter park in the wait loop
-        second = threading.Thread(target=submit, args=(1, digital[1]))
-        second.start()
-        first.join(timeout=5.0)
-        second.join(timeout=5.0)
-        assert not first.is_alive() and not second.is_alive()
-        assert len(outcomes) == 2
-        # Nobody got a silent ``None`` answer.
-        assert all(kind == "raised" for kind, _ in outcomes.values())
-        exceptions = [exc for _, exc in outcomes.values()]
-        assert any(isinstance(exc, self._Interrupt)
-                   for exc in exceptions)
-        assert any(isinstance(exc, RuntimeError)
-                   and "batch dispatch aborted" in str(exc)
-                   for exc in exceptions)
-
-    def test_pre_dispatch_failure_completes_sliced_entries(self, digital):
-        """A drain that dies before even dispatching (here: the batch
-        clock raising when the leftover re-opens the window) must mark
-        its sliced entries done-with-error; the leftover stays queued
-        for the next drain instead of vanishing."""
-        provider = BatchingProvider(build_model("gpt-4o"),
-                                    max_batch_size=1, max_wait_s=10.0)
-        sliced = {"question": digital[0],
-                  "context": (WITH_CHOICE, 1, False),
-                  "answer": None, "error": None, "done": False}
-        leftover = dict(sliced, question=digital[1])
-        provider._queue = [sliced, leftover]
-
-        def dying_clock():
-            raise RuntimeError("scripted clock death")
-
-        provider._clock = dying_clock
-        with provider._condition:
-            with pytest.raises(RuntimeError, match="scripted clock death"):
-                provider._drain_locked()
-        assert sliced["done"]
-        assert isinstance(sliced["error"], RuntimeError)
-        assert "batch dispatch aborted" in str(sliced["error"])
-        assert not leftover["done"]
-        assert provider._queue == [leftover]
-        assert provider._draining == 0

@@ -407,6 +407,42 @@ class TestWatchdog:
         assert not outcome.failures
         assert runner._watchdog is None
 
+    def test_thread_workers_start_one_watchdog(self, chipvqa, monkeypatch):
+        """The first evaluation under a deadline starts the run's
+        watchdog; eight racing pool threads, switching every
+        microsecond, still start exactly one, and the run stops it."""
+        import sys
+        import threading
+
+        from repro.core import runner as runner_mod
+
+        starts = []
+
+        class CountingWatchdog(Watchdog):
+            def start(self):
+                starts.append(self)
+                super().start()
+
+        monkeypatch.setattr(runner_mod, "Watchdog", CountingWatchdog)
+        units = [WorkUnit(model=build_model(name), dataset=subset,
+                          setting=WITH_CHOICE)
+                 for name in ("gpt-4o", "llava-7b", "kosmos-2")
+                 for subset in (chipvqa.by_category(category)
+                                for category in Category)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = ParallelRunner(workers=8, backend="thread",
+                                    deadline_s=60.0)
+            outcome = runner.run(units)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not outcome.failures
+        assert len(starts) == 1
+        assert runner._watchdog is None
+        assert not any(thread.name == "runner-watchdog"
+                       for thread in threading.enumerate())
+
 
 class TestQuarantinePolicy:
     def test_admit_budget(self):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.service import jobs
 from repro.service.client import EvalServiceClient, ServiceError
 from repro.service.jobs import Job, JobQueue
 from repro.service.server import serve
@@ -50,6 +51,29 @@ class TestResultStream:
             assert grown < _checkpoint_bytes(job)
         finally:
             queue.shutdown()
+
+    def test_queue_keeps_a_bounded_number_of_finished_jobs(
+            self, tmp_path, monkeypatch):
+        """Past ``MAX_FINISHED_JOBS`` finished jobs the earliest one is
+        forgotten, as an unknown id is; the rest still report their
+        status and stream their results."""
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 2)
+        server = serve(queue_workers=1, run_root=tmp_path)
+        client = EvalServiceClient(server.url)
+        try:
+            job_ids = []
+            for _ in range(3):
+                job = server.queue.submit(SPEC)
+                assert job.wait(timeout=120)
+                job_ids.append(job.job_id)
+            with pytest.raises(ServiceError, match="404"):
+                client.job_status(job_ids[0])
+            for job_id in job_ids[1:]:
+                assert client.job_status(job_id)["status"] == "completed"
+                assert len(list(client.stream_results(job_id))) == 4
+        finally:
+            server.shutdown()
+            server.queue.shutdown()
 
     def test_complete_page_never_misses_a_last_line(self, tmp_path,
                                                     monkeypatch):
