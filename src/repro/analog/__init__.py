@@ -10,10 +10,7 @@ from repro.analog import (
     smallsignal,
     transfer,
 )
-from repro.analog.questions import (
-    generate_analog_questions,
-    generate_analog_questions_scaled,
-)
+from repro.analog.questions import generate_analog_questions
 
 __all__ = [
     "dataconv",
@@ -23,5 +20,4 @@ __all__ = [
     "smallsignal",
     "transfer",
     "generate_analog_questions",
-    "generate_analog_questions_scaled",
 ]

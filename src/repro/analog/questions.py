@@ -14,7 +14,7 @@ Visual-type budget (DESIGN.md): 32 schematics, 4 curves, 2 diagrams,
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analog import dataconv, feedback, smallsignal
 from repro.analog.feedback import LoopAnalysis, Topology
@@ -1166,30 +1166,3 @@ def generate_analog_questions() -> List[Question]:
     ]
     return questions
 
-
-#: Version of this family's question generators.  Folded into the
-#: content-addressed build-cache fingerprint (see
-#: :func:`repro.core.databuild.generator_fingerprint`): bump whenever a
-#: builder's output changes so stale cached shards are invalidated.
-GENERATOR_VERSION = "analog-1"
-
-
-def generate_analog_questions_scaled(
-    seed: int,
-    shard_index: int,
-    shard_size: int,
-    total: Optional[int] = None,
-) -> List[Question]:
-    """Analog Design members of one shard of a seeded scaled build.
-
-    Delegates to :func:`repro.core.databuild.family_scaled_questions`:
-    shard ``shard_index`` of the interleaved global sequence is built
-    (through the shard build cache) and this family's members are
-    returned in global order.  ``total`` clips the final shard of an
-    ``n``-question build.
-    """
-    from repro.core.databuild import family_scaled_questions
-    from repro.core.question import Category
-
-    return family_scaled_questions(
-        Category.ANALOG, seed, shard_index, shard_size, total=total)

@@ -12,10 +12,7 @@ from repro.arch import (
     vector,
     vm,
 )
-from repro.arch.questions import (
-    generate_architecture_questions,
-    generate_architecture_questions_scaled,
-)
+from repro.arch.questions import generate_architecture_questions
 
 __all__ = [
     "branch",
@@ -27,5 +24,4 @@ __all__ = [
     "vector",
     "vm",
     "generate_architecture_questions",
-    "generate_architecture_questions_scaled",
 ]

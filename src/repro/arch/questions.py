@@ -13,7 +13,7 @@ Visual budget (DESIGN.md): 10 diagrams (+1 secondary diagram), 4 tables,
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.arch import branch as branch_mod
 from repro.arch import coherence, ooo, topology, vector, vm
@@ -625,30 +625,3 @@ def generate_architecture_questions() -> List[Question]:
     ]
     return questions
 
-
-#: Version of this family's question generators.  Folded into the
-#: content-addressed build-cache fingerprint (see
-#: :func:`repro.core.databuild.generator_fingerprint`): bump whenever a
-#: builder's output changes so stale cached shards are invalidated.
-GENERATOR_VERSION = "arch-1"
-
-
-def generate_architecture_questions_scaled(
-    seed: int,
-    shard_index: int,
-    shard_size: int,
-    total: Optional[int] = None,
-) -> List[Question]:
-    """Architecture members of one shard of a seeded scaled build.
-
-    Delegates to :func:`repro.core.databuild.family_scaled_questions`:
-    shard ``shard_index`` of the interleaved global sequence is built
-    (through the shard build cache) and this family's members are
-    returned in global order.  ``total`` clips the final shard of an
-    ``n``-question build.
-    """
-    from repro.core.databuild import family_scaled_questions
-    from repro.core.question import Category
-
-    return family_scaled_questions(
-        Category.ARCHITECTURE, seed, shard_index, shard_size, total=total)

@@ -16,9 +16,11 @@ Commands mirror the paper's experiments plus the repository's extensions:
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import perfstats, results_io
 from repro.core.benchmark import build_chipvqa, build_chipvqa_challenge
@@ -93,146 +95,165 @@ def _print_stage_timings(stages: dict) -> None:
               f"{per_call_ms:>10.3f}")
 
 
-def _effective_workers(requested: int,
-                       backend: Optional[str] = None) -> int:
-    """Clamp ``--workers`` to this machine's CPU count, with a warning.
-
-    More workers than cores cannot help the thread or process backends
-    — threads are GIL-bound and processes core-bound — but
-    oversubscription does churn context switches, so requests beyond
-    ``os.cpu_count()`` are clamped.  The async backend is exempt: its
-    workers are in-flight coroutines bounded by the endpoint's request
-    budget, not by cores, so ``--backend async --workers 64`` is a
-    legitimate configuration on a single-core machine.  Values below 1
-    are raised to 1.
-    """
-    if backend == "async":
-        return max(1, requested)
-    cpus = os.cpu_count() or 1
-    if requested > cpus:
-        print(f"warning: --workers {requested} exceeds this machine's "
-              f"{cpus} CPU(s); using {cpus}")
-        return cpus
-    return max(1, requested)
+# -- command-line checks -----------------------------------------------------
+#
+# Exit status: 0 ok, 1 the run failed, 2 the command line cannot be acted
+# on (docs/RUNNER.md).  Every check below is an argparse usage error.
 
 
-def _effective_nodes(requested: int) -> int:
-    """Validate and clamp ``--nodes``.
+def _bounded(parse: Callable[[str], float], valid: Callable[[float], bool],
+             requirement: str) -> Callable[[str], float]:
+    """A ``type=`` converter: ``parse`` the text, then require a finite
+    value that is ``valid``, else a usage error naming the bound."""
 
-    Below 1 there is no fleet to coordinate — that is a configuration
-    error, not a clampable preference, so it fails fast (unlike the
-    floor clamps of ``--workers``/``--limit``, where a sane
-    substitution exists).  Above ``os.cpu_count()`` the extra nodes
-    cannot run anywhere — inline nodes are thread-scheduled and
-    process-group nodes core-bound — so requests are clamped with a
-    warning, mirroring the ``--workers`` posture.
-    """
-    if requested < 1:
-        raise SystemExit(f"--nodes must be >= 1 (got {requested})")
-    cpus = os.cpu_count() or 1
-    if requested > cpus:
-        print(f"warning: --nodes {requested} exceeds this machine's "
-              f"{cpus} CPU(s); using {cpus}")
-        return cpus
-    return requested
+    def convert(text: str) -> float:
+        try:
+            value = parse(text)
+            if not math.isfinite(value):
+                raise ValueError(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid number {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement} (got {text})")
+        return value
 
-
-def _effective_limit(requested: int) -> int:
-    """Clamp ``--limit`` to a sane floor, with a warning.
-
-    A scaled sweep needs at least one question; values below 1 are
-    raised to 1 (mirroring the ``--workers`` clamp's posture: warn and
-    proceed rather than abort).  There is no upper clamp — the
-    streaming path is O(shard) in memory at any size.
-    """
-    if requested < 1:
-        print(f"warning: --limit {requested} is below 1; using 1")
-        return 1
-    return requested
+    return convert
 
 
-def _effective_samples(requested: int) -> int:
-    """Clamp ``--samples`` to a sane floor, with a warning.
-
-    pass@k needs at least one sample per question; values below 1 are
-    raised to 1, matching the ``--workers``/``--limit`` clamp
-    semantics.
-    """
-    if requested < 1:
-        print(f"warning: --samples {requested} is below 1; using 1")
-        return 1
-    return requested
+_count = _bounded(int, lambda value: value >= 1, ">= 1")
+_seconds = _bounded(float, lambda value: value >= 0, ">= 0")
+_rate = _bounded(float, lambda value: value > 0, "> 0")
+_probability = _bounded(float, lambda value: 0 <= value <= 1,
+                        "in [0, 1]")
 
 
-def _effective_prefetch(requested: Optional[int], workers: int) -> int:
-    """Validate and clamp ``--prefetch``.
-
-    ``None`` (flag absent) keeps the serial build-then-eval loop.  A
-    lookahead below 1 prefetches nothing — a configuration error, not
-    a clampable preference, so it fails fast (the ``--nodes`` posture).
-    Looking ahead far past the evaluation workers cannot help — the
-    consumer drains at most ``workers`` shards' worth of work at a
-    time, and every prefetched shard holds memory — so requests beyond
-    ``max(2, workers)`` are clamped with a warning (the ``--workers``
-    posture; the floor of 2 keeps build/eval overlap available even
-    for a single-worker sweep).
-    """
-    if requested is None:
-        return 0
-    if requested < 1:
-        raise SystemExit(f"--prefetch must be >= 1 (got {requested})")
-    cap = max(2, workers)
-    if requested > cap:
-        print(f"warning: --prefetch {requested} exceeds the useful "
-              f"lookahead for {workers} worker(s); using {cap}")
-        return cap
-    return requested
+def _category(short: str) -> Category:
+    """``resolution --category``: a category by its short name."""
+    for category in Category:
+        if category.short.lower() == short.lower():
+            return category
+    raise argparse.ArgumentTypeError(
+        f"unknown category {short!r}; choose from "
+        f"{', '.join(c.short for c in Category)}")
 
 
-def _build_backend(args: argparse.Namespace):
-    """Resolve ``--backend``/``--rate-limit``/``--hedge-after`` to the
-    runner's backend argument.
-
-    A bare ``--backend`` passes through as a name; the async-only
-    scheduling knobs build an explicit
-    :class:`~repro.core.executor.AsyncBackend` carrying them.  Giving
-    those knobs without ``--backend async`` is a configuration error —
-    the sync backends have no scheduler to honour them — and fails
-    fast rather than being silently ignored.
-    """
-    rate = getattr(args, "rate_limit", None)
-    hedge = getattr(args, "hedge_after", None)
-    if rate is None and hedge is None:
-        return args.backend
-    if args.backend != "async":
-        raise SystemExit(
-            "--rate-limit and --hedge-after require --backend async")
-    from repro.core.executor import AsyncBackend
-
-    return AsyncBackend(_effective_workers(args.workers, "async"),
-                        rate_limit_per_s=rate, hedge_after_s=hedge)
+def _question(qid: str):
+    """``show``'s positional: a canonical question by its id."""
+    try:
+        return build_chipvqa().get(qid)
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"unknown question id {qid!r}") from None
 
 
-def _breaker_from_args(args: argparse.Namespace):
-    """Resolve ``--breaker``/``--breaker-cooldown`` to a CircuitBreaker.
+def _table2_path(args: argparse.Namespace) -> str:
+    """``service``, ``scaled`` (:func:`~repro.core.sweep.run_scaled_table2`)
+    or ``local`` (the canonical :func:`~repro.core.harness.run_table2`)."""
+    if args.service:
+        return "service"
+    if (args.limit is not None or args.dataset_seed is not None
+            or args.samples != 1):
+        return "scaled"
+    return "local"
 
-    ``--breaker-cooldown`` arms half-open probing: an open circuit is
-    retried with one trial unit once the cooldown elapses (see
-    docs/RESILIENCE.md).  Giving the cooldown without ``--breaker`` is
-    a configuration error — there is no breaker to cool down.
-    """
-    cooldown = getattr(args, "breaker_cooldown", None)
-    if args.breaker is None:
-        if cooldown is not None:
-            raise SystemExit("--breaker-cooldown requires --breaker")
-        return None
-    from repro.core.resilience import CircuitBreaker
 
-    return CircuitBreaker(args.breaker, cooldown_s=cooldown)
+#: How usage errors name each ``table2`` path.
+_PATH_NAMES = {
+    "local": "the canonical sweep",
+    "scaled": "the scaled path (--limit, --dataset-seed or --samples "
+              "above 1)",
+    "service": "--service",
+}
+
+#: The ``table2`` flags (by dest) that mean something on only some
+#: paths, and those paths; every other flag applies to all three.
+_TABLE2_PATHS: Dict[str, Tuple[str, ...]] = {
+    "provider": ("local",),
+    "limit": ("scaled",),
+    "dataset_seed": ("scaled",),
+    "samples": ("scaled",),
+    "shard_size": ("scaled",),
+    "prefetch": ("scaled",),
+    "prefetch_builder": ("scaled",),
+    "replicas": ("service",),
+    "nodes": ("local", "scaled"),
+    "rate_limit": ("local", "scaled"),
+    "hedge_after": ("local", "scaled"),
+    "breaker_cooldown": ("local", "scaled"),
+    "spill_dir": ("local", "scaled"),
+    "run_dir": ("local", "scaled"),
+    "no_resume": ("local", "scaled"),
+    "cache_stats": ("local", "scaled"),
+}
+
+
+def _check_table2(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> None:
+    """Usage-error a flag given on a path it does not apply to, or a
+    broken cross-flag rule.  A flag is given when it differs from its
+    default, so an explicit default stays legal on every path."""
+    path = _table2_path(args)
+    for dest, paths in _TABLE2_PATHS.items():
+        value = getattr(args, dest)
+        if path in paths or value == parser.get_default(dest):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(value, bool):
+            flag += f" {value}"
+        parser.error(
+            f"{flag} applies only to "
+            f"{' or '.join(_PATH_NAMES[p] for p in paths)}, "
+            f"not to {_PATH_NAMES[path]}")
+    remote = args.provider == "remote" or path == "service"
+    fleet = args.nodes > 1
+    for broken, message in (
+            (args.rate_limit is not None and args.backend != "async",
+             "--rate-limit requires --backend async"),
+            (args.hedge_after is not None and args.backend != "async",
+             "--hedge-after requires --backend async"),
+            (args.breaker_cooldown is not None and args.breaker is None,
+             "--breaker-cooldown requires --breaker"),
+            (args.latency and not remote,
+             "--latency requires --provider remote or --service"),
+            (args.failure_rate and not remote,
+             "--failure-rate requires --provider remote or --service"),
+            (fleet and args.workers > 1,
+             "--nodes and --workers are exclusive: a coordinated fleet "
+             "runs one unit per node"),
+            (fleet and args.backend in ("thread", "async"),
+             "--nodes runs inline nodes by default or process-group "
+             "nodes under --backend process; thread/async backends do "
+             "not apply to a fleet")):
+        if broken:
+            parser.error(message)
+
+
+def _clamp(flag: str, requested: int, cap: Optional[int] = None,
+           limit: str = "") -> int:
+    """The one clamp posture: a count above what the machine can use
+    becomes ``cap`` (default ``os.cpu_count()``), with a warning."""
+    if cap is None:
+        cap = os.cpu_count() or 1
+        limit = f"this machine's {cap} CPU(s)"
+    if requested <= cap:
+        return requested
+    print(f"warning: {flag} {requested} exceeds {limit}; using {cap}")
+    return cap
+
+
+def _workers(args: argparse.Namespace) -> int:
+    """``--workers`` clamped to the CPU count, except for the async
+    backend, whose workers are coroutines bounded by the endpoint's
+    request budget, not by cores."""
+    if args.backend == "async":
+        return args.workers
+    return _clamp("--workers", args.workers)
 
 
 def _build_runner(args: argparse.Namespace, harness):
-    """Check the execution flags, then resolve them to a driver through
+    """Resolve the checked execution flags to a driver through
     :func:`~repro.core.engine.build_driver`.
 
     ``--nodes N`` (N > 1) builds a fault-tolerant
@@ -241,38 +262,31 @@ def _build_runner(args: argparse.Namespace, harness):
     with lease-based work-stealing and exactly-once commit accounting
     (docs/COORDINATOR.md).  Otherwise a single
     :class:`~repro.core.runner.ParallelRunner` with the requested
-    backend.  The two parallelism knobs are exclusive: a coordinated
-    fleet runs one unit per node.
+    backend; the async-only scheduling knobs build an explicit
+    :class:`~repro.core.executor.AsyncBackend` carrying them.
     """
-    from repro.core.resilience import QuarantinePolicy
+    from repro.core.resilience import CircuitBreaker, QuarantinePolicy
 
-    quarantine = QuarantinePolicy() if args.quarantine else None
-    breaker = _breaker_from_args(args)
-    requested_nodes = getattr(args, "nodes", 1)
-    nodes = _effective_nodes(requested_nodes)
-    # Flag-compatibility errors key off what was *requested*: asking
-    # for a fleet with incompatible flags is wrong even on a machine
-    # small enough to clamp the fleet down to one node.
-    if requested_nodes > 1:
-        if args.workers != 1:
-            raise SystemExit(
-                "--nodes and --workers are exclusive: a coordinated "
-                "fleet runs one unit per node")
-        if (args.backend in ("thread", "async")
-                or getattr(args, "rate_limit", None) is not None
-                or getattr(args, "hedge_after", None) is not None):
-            raise SystemExit(
-                "--nodes runs inline nodes by default or process-group "
-                "nodes under --backend process; thread/async backends "
-                "and their scheduling knobs do not apply to a fleet")
+    workers = _workers(args)
+    backend = args.backend
+    if args.rate_limit is not None or args.hedge_after is not None:
+        from repro.core.executor import AsyncBackend
+
+        backend = AsyncBackend(workers, rate_limit_per_s=args.rate_limit,
+                               hedge_after_s=args.hedge_after)
+    breaker = None
+    if args.breaker is not None:
+        # --breaker-cooldown arms half-open probing (docs/RESILIENCE.md)
+        breaker = CircuitBreaker(args.breaker,
+                                 cooldown_s=args.breaker_cooldown)
     return build_driver(
         harness,
-        workers=_effective_workers(args.workers, args.backend),
-        nodes=nodes,
-        backend=_build_backend(args),
+        workers=workers,
+        nodes=_clamp("--nodes", args.nodes),
+        backend=backend,
         run_dir=args.run_dir,
         resume=not args.no_resume,
-        quarantine=quarantine,
+        quarantine=QuarantinePolicy() if args.quarantine else None,
         breaker=breaker,
         deadline_s=args.deadline,
         spill_dir=args.spill_dir)
@@ -350,29 +364,8 @@ def _cmd_table2_service(args: argparse.Namespace) -> int:
     :class:`~repro.core.engine.EvalEngine` substrate, so the rendered
     numbers and the server-side checkpoints are byte-identical to a
     local run's.  Flags that configure *local* execution or the scaled
-    path have no served meaning and fail fast.
+    path are refused by :func:`_check_table2` (see docs/SERVICE.md).
     """
-    for flag, given in (
-            ("--nodes", getattr(args, "nodes", 1) != 1),
-            ("--limit", args.limit is not None),
-            ("--dataset-seed", args.dataset_seed is not None),
-            ("--samples", args.samples != 1),
-            ("--rate-limit", getattr(args, "rate_limit", None) is not None),
-            ("--hedge-after",
-             getattr(args, "hedge_after", None) is not None),
-            ("--breaker-cooldown",
-             getattr(args, "breaker_cooldown", None) is not None),
-            ("--spill-dir", args.spill_dir is not None),
-            ("--run-dir", args.run_dir is not None),
-            ("--prefetch", getattr(args, "prefetch", None) is not None),
-            ("--prefetch-builder",
-             getattr(args, "prefetch_builder", "thread") != "thread"),
-            ("--no-resume", args.no_resume)):
-        if given:
-            raise SystemExit(
-                f"{flag} configures local execution and does not apply "
-                f"to --service (the server owns its run directories "
-                f"and backends; see docs/SERVICE.md)")
     from repro.service.client import EvalServiceClient
     from repro.service.jobs import JobRejected
 
@@ -409,7 +402,7 @@ def _cmd_table2_service(args: argparse.Namespace) -> int:
     print(f"{streamed} unit result(s) streamed; server artifacts in "
           f"{snapshot['run_dir']}\n")
     print(render_table2(results, dict(TABLE2_ROW_ORDER)))
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         written = results_io.atomic_write_text(
             args.metrics_out, client.metrics())
         print(f"\nmetrics (from service /metrics) -> {written}")
@@ -438,32 +431,33 @@ def _cmd_table2_scaled(args: argparse.Namespace) -> int:
     Streams an ``n``-question procedurally scaled collection through
     :func:`repro.core.sweep.run_scaled_table2` shard-by-shard, with
     multi-sample pass@k / consensus@k scoring when ``--samples`` > 1.
-    Requires ``--provider local``: sample salting re-registers model
+    Only ``--provider local`` applies: sample salting re-registers model
     clones in the provider registry, which the serving-stack wrappers
-    cannot express.
+    cannot express.  Without ``--prefetch`` the loop is serial.
     """
     from pathlib import Path
 
     from repro.core.question import TOTAL_QUESTIONS
     from repro.core.sweep import run_scaled_table2
 
-    if args.provider != "local":
-        raise SystemExit("--limit/--dataset-seed/--samples require "
-                         "--provider local")
     names = args.models or [name for name, _ in TABLE2_ROW_ORDER]
-    limit = _effective_limit(
-        args.limit if args.limit is not None else TOTAL_QUESTIONS)
-    samples = _effective_samples(args.samples)
+    limit = args.limit if args.limit is not None else TOTAL_QUESTIONS
+    samples = args.samples
     seed = args.dataset_seed if args.dataset_seed is not None else 0
     harness = EvaluationHarness()
     runner = _build_runner(args, harness)
-    prefetch = _effective_prefetch(
-        getattr(args, "prefetch", None), runner.workers)
+    prefetch = 0
+    if args.prefetch is not None:
+        # the consumer drains at most ``workers`` shards at a time; the
+        # floor of 2 keeps build/eval overlap for a single worker
+        prefetch = _clamp(
+            "--prefetch", args.prefetch, max(2, runner.workers),
+            f"the useful lookahead for {runner.workers} worker(s)")
     report = run_scaled_table2(
         names, limit, seed, samples=samples,
         shard_size=args.shard_size, runner=runner,
         spill_dir=args.spill_dir, prefetch=prefetch,
-        prefetch_builder=getattr(args, "prefetch_builder", "thread"))
+        prefetch_builder=args.prefetch_builder)
     print(f"scaled sweep: {report.dataset_name} "
           f"({limit} questions, {samples} sample(s))\n")
     print(render_table2(report.table2_results(),
@@ -489,25 +483,12 @@ def _cmd_table2_scaled(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_scaled(args: argparse.Namespace) -> bool:
-    """Does this ``table2`` invocation take the scaled streaming path?"""
-    return (args.limit is not None or args.dataset_seed is not None
-            or args.samples != 1)
-
-
 def _cmd_table2(args: argparse.Namespace) -> int:
-    if getattr(args, "service", None):
+    path = _table2_path(args)
+    if path == "service":
         return _cmd_table2_service(args)
-    if _is_scaled(args):
+    if path == "scaled":
         return _cmd_table2_scaled(args)
-    if getattr(args, "prefetch", None) is not None:
-        raise SystemExit(
-            "--prefetch applies to the scaled streaming path; give "
-            "--limit/--dataset-seed/--samples to enable it")
-    if getattr(args, "prefetch_builder", "thread") != "thread":
-        raise SystemExit(
-            "--prefetch-builder applies to the scaled streaming path; "
-            "give --limit/--dataset-seed/--samples to enable it")
     harness = EvaluationHarness()
     if args.models:
         models = [build_model(name) for name in args.models]
@@ -567,15 +548,12 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 def _cmd_resolution(args: argparse.Namespace) -> int:
     harness = EvaluationHarness()
-    category = _category_by_short(args.category)
-    runner = build_driver(
-        harness,
-        workers=_effective_workers(args.workers, args.backend),
-        backend=args.backend)
+    runner = build_driver(harness, workers=_workers(args),
+                          backend=args.backend)
     study = harness.resolution_study(
-        build_model(args.model), category=category,
+        build_model(args.model), category=args.category,
         factors=tuple(args.factors), runner=runner)
-    print(render_resolution_study(study, category))
+    print(render_resolution_study(study, args.category))
     if args.cache_stats:
         _print_cache_stats(runner.last_stats)
     return 0
@@ -624,11 +602,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    dataset = build_chipvqa()
-    try:
-        question = dataset.get(args.qid)
-    except KeyError:
-        raise SystemExit(f"unknown question id {args.qid!r}")
+    question = args.question
     print(f"qid:        {question.qid}")
     print(f"category:   {question.category.value}")
     print(f"type:       {question.question_type.value}")
@@ -681,14 +655,6 @@ def _cmd_export_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _category_by_short(short: str) -> Category:
-    for category in Category:
-        if category.short.lower() == short.lower():
-            return category
-    raise SystemExit(f"unknown category {short!r}; choose from "
-                     f"{[c.short for c in Category]}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -706,15 +672,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="serving path: in-process (local) or a "
                          "simulated HTTP endpoint (remote); see "
                          "docs/PROVIDERS.md")
-    p2.add_argument("--latency", type=float, default=0.0, metavar="S",
+    p2.add_argument("--latency", type=_seconds, default=0.0, metavar="S",
                     help="simulated per-call endpoint latency in "
                          "seconds (remote provider)")
-    p2.add_argument("--failure-rate", type=float, default=0.0,
+    p2.add_argument("--failure-rate", type=_probability, default=0.0,
                     metavar="P",
                     help="simulated transient-failure probability per "
                          "call (remote provider); absorbed by the "
                          "runner's retry path")
-    p2.add_argument("--workers", type=int, default=1,
+    p2.add_argument("--workers", type=_count, default=1,
                     help="parallel evaluation workers (1 = serial; "
                          "clamped to this machine's CPU count except "
                          "under --backend async)")
@@ -726,20 +692,20 @@ def build_parser() -> argparse.ArgumentParser:
                          "an asyncio event loop for the API-bound "
                          "regime (default: serial at --workers 1, "
                          "thread otherwise; see docs/RUNNER.md)")
-    p2.add_argument("--nodes", type=int, default=1, metavar="N",
+    p2.add_argument("--nodes", type=_count, default=1, metavar="N",
                     help="dispatch the sweep across N fault-tolerant "
                          "coordinator nodes with lease-based "
                          "work-stealing and exactly-once commit "
                          "accounting (inline nodes by default, process "
                          "groups under --backend process; exclusive "
                          "with --workers; see docs/COORDINATOR.md)")
-    p2.add_argument("--rate-limit", type=float, default=None,
+    p2.add_argument("--rate-limit", type=_rate, default=None,
                     metavar="R",
                     help="client-side per-provider request budget in "
                          "calls/second; the async scheduler paces "
                          "dispatches under it (requires --backend "
                          "async)")
-    p2.add_argument("--hedge-after", type=float, default=None,
+    p2.add_argument("--hedge-after", type=_seconds, default=None,
                     metavar="S",
                     help="duplicate a provider call still in flight "
                          "after S seconds, first success wins (tail-"
@@ -760,46 +726,48 @@ def build_parser() -> argparse.ArgumentParser:
                     help="salvage units around permanently-faulting "
                          "questions (recorded incorrect with "
                          "judge_method=quarantined)")
-    p2.add_argument("--breaker", type=int, default=None, metavar="K",
+    p2.add_argument("--breaker", type=_count, default=None, metavar="K",
                     help="open a per-model circuit breaker after K "
                          "consecutive unit failures and fast-fail the "
                          "model's remaining units")
-    p2.add_argument("--breaker-cooldown", type=float, default=None,
+    p2.add_argument("--breaker-cooldown", type=_seconds, default=None,
                     metavar="S",
                     help="let an open circuit go half-open after S "
                          "seconds and probe it with a single trial "
                          "unit; success fully closes the circuit, "
                          "failure re-arms the cooldown (requires "
                          "--breaker; see docs/RESILIENCE.md)")
-    p2.add_argument("--deadline", type=float, default=None, metavar="S",
+    p2.add_argument("--deadline", type=_seconds, default=None,
+                    metavar="S",
                     help="per-unit wall-time deadline in seconds; "
                          "overdue units are marked timed_out")
-    p2.add_argument("--limit", type=int, default=None, metavar="N",
+    p2.add_argument("--limit", type=_count, default=None, metavar="N",
                     help="evaluate an N-question procedurally scaled "
                          "collection instead of the canonical 142 "
-                         "(streamed shard-by-shard; values below 1 are "
-                         "clamped to 1 with a warning; requires "
-                         "--provider local; see docs/DATASET_FORMAT.md)")
+                         "(streamed shard-by-shard; N >= 1; the scaled "
+                         "path takes only --provider local; see "
+                         "docs/DATASET_FORMAT.md)")
     p2.add_argument("--dataset-seed", type=int, default=None,
                     metavar="S",
                     help="variant seed of the scaled collection "
                          "(default 0); selecting a seed implies the "
                          "scaled path even without --limit")
-    p2.add_argument("--samples", type=int, default=1, metavar="K",
+    p2.add_argument("--samples", type=_count, default=1, metavar="K",
                     help="samples per question for pass@k / "
-                         "consensus@k scoring (values below 1 are "
-                         "clamped to 1 with a warning; K > 1 implies "
+                         "consensus@k scoring (K >= 1; K > 1 implies "
                          "the scaled path and --provider local)")
-    p2.add_argument("--shard-size", type=int, default=None, metavar="Q",
+    p2.add_argument("--shard-size", type=_count, default=None,
+                    metavar="Q",
                     help="questions per build shard on the scaled "
                          "path (default: 142, one canonical cycle)")
-    p2.add_argument("--prefetch", type=int, default=None, metavar="K",
+    p2.add_argument("--prefetch", type=_count, default=None, metavar="K",
                     help="overlap shard building with evaluation on "
                          "the scaled path: keep up to K shards "
                          "building or ready ahead of the evaluator "
-                         "(must be >= 1; clamped against --workers; "
-                         "artifacts stay byte-identical to the serial "
-                         "loop — see docs/PERF.md)")
+                         "(K >= 1; above max(2, --workers) it is "
+                         "clamped with a warning; artifacts stay "
+                         "byte-identical to the serial loop — see "
+                         "docs/PERF.md)")
     p2.add_argument("--prefetch-builder", default="thread",
                     choices=sorted(PREFETCH_BUILDERS),
                     help="where --prefetch builds run: 'thread' "
@@ -812,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "instance at URL instead of executing "
                          "locally; results stream back and render the "
                          "same table (see docs/SERVICE.md)")
-    p2.add_argument("--replicas", type=int, default=1, metavar="N",
+    p2.add_argument("--replicas", type=_count, default=1, metavar="N",
                     help="serve each model through N load-balanced "
                          "provider replicas with breaker-aware "
                          "failover (--service only)")
@@ -820,16 +788,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the run's counters to PATH as "
                          "Prometheus text exposition (with --service: "
                          "a snapshot of the server's /metrics)")
-    p2.set_defaults(func=_cmd_table2)
+    p2.set_defaults(func=_cmd_table2,
+                    check=functools.partial(_check_table2, p2))
 
     sub.add_parser("table3", help="Table III agent comparison") \
         .set_defaults(func=_cmd_table3)
 
     pr = sub.add_parser("resolution", help="Section IV-B study")
     pr.add_argument("--model", default="gpt-4o")
-    pr.add_argument("--category", default="Digital")
-    pr.add_argument("--factors", nargs="*", type=int, default=[1, 8, 16])
-    pr.add_argument("--workers", type=int, default=1,
+    pr.add_argument("--category", type=_category, default="Digital")
+    pr.add_argument("--factors", nargs="+", type=_count,
+                    default=[1, 8, 16])
+    pr.add_argument("--workers", type=_count, default=1,
                     help="evaluate resolution factors in parallel "
                          "(clamped to this machine's CPU count)")
     pr.add_argument("--backend",
@@ -848,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--model", default="gpt-4o")
     pe.add_argument("--challenge", action="store_true",
                     help="use the no-choice challenge collection")
-    pe.add_argument("--resolution", type=int, default=1)
+    pe.add_argument("--resolution", type=_count, default=1)
     pe.set_defaults(func=_cmd_evaluate)
 
     pc = sub.add_parser("compare", help="paired significance test")
@@ -858,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_compare)
 
     ps = sub.add_parser("show", help="inspect one benchmark question")
-    ps.add_argument("qid")
+    ps.add_argument("question", metavar="qid", type=_question)
     ps.add_argument("--figure", default=None,
                     help="also write the figure to this PGM path")
     ps.set_defaults(func=_cmd_show)
@@ -868,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("export-figures", help="write figures as PGM")
     pf.add_argument("--out", default="figures")
-    pf.add_argument("--limit", type=int, default=None)
+    pf.add_argument("--limit", type=_count, default=None)
     pf.set_defaults(func=_cmd_export_figures)
 
     pd = sub.add_parser("export-dataset", help="dump benchmark JSONL")
@@ -900,7 +870,7 @@ def _check_model_names(parser: argparse.ArgumentParser,
         names = [args.model_a, args.model_b]
     else:
         return
-    if command == "table2" and _is_scaled(args):
+    if command == "table2" and _table2_path(args) == "scaled":
         from repro.models.providers import provider_names
 
         known = provider_names()
@@ -917,6 +887,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_model_names(parser, args)
+    if args.command == "table2":
+        args.check(args)
     return args.func(args)
 
 

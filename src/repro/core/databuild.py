@@ -152,30 +152,31 @@ def interleaved_order(categories: Sequence[Category]) -> Tuple[int, ...]:
 # -- generator fingerprints --------------------------------------------------
 
 
-def generator_versions() -> Dict[str, str]:
-    """Per-family generator version strings (see each ``questions.py``)."""
-    from repro.analog import questions as analog_questions
-    from repro.arch import questions as arch_questions
-    from repro.digital import questions as digital_questions
-    from repro.manufacturing import questions as manufacturing_questions
-    from repro.physical import questions as physical_questions
+#: Version of each family's question generators (the ``generate_*``
+#: builders in each discipline's ``questions.py``).  Bump a family's
+#: entry whenever its builders' output changes, so stale cached shards
+#: are invalidated (see :func:`generator_fingerprint`).
+GENERATOR_VERSIONS: Dict[str, str] = {
+    "analog": "analog-1",
+    "architecture": "arch-1",
+    "digital": "digital-1",
+    "manufacturing": "manufacturing-1",
+    "physical": "physical-1",
+}
 
-    return {
-        "analog": analog_questions.GENERATOR_VERSION,
-        "architecture": arch_questions.GENERATOR_VERSION,
-        "digital": digital_questions.GENERATOR_VERSION,
-        "manufacturing": manufacturing_questions.GENERATOR_VERSION,
-        "physical": physical_questions.GENERATOR_VERSION,
-    }
+
+def generator_versions() -> Dict[str, str]:
+    """Per-family generator version strings (:data:`GENERATOR_VERSIONS`)."""
+    return dict(GENERATOR_VERSIONS)
 
 
 def generator_fingerprint() -> str:
     """Digest of every family generator version plus the schema version.
 
-    Part of every shard cache key: bumping any family's
-    ``GENERATOR_VERSION`` (or :data:`SHARD_SCHEMA_VERSION`) invalidates
-    all cached shards at once, so a stale on-disk cache can never serve
-    questions from an older generator.
+    Part of every shard cache key: bumping any entry of
+    :data:`GENERATOR_VERSIONS` (or :data:`SHARD_SCHEMA_VERSION`)
+    invalidates all cached shards at once, so a stale on-disk cache can
+    never serve questions from an older generator.
     """
     payload = json.dumps(
         {"schema": SHARD_SCHEMA_VERSION,
@@ -234,31 +235,6 @@ def question_at(index: int, seed: int) -> Question:
     return derive_variant(cycle_questions[slot], cycle, seed)
 
 
-def family_scaled_questions(
-    category: Category,
-    seed: int,
-    shard_index: int,
-    shard_size: int,
-    total: Optional[int] = None,
-) -> List[Question]:
-    """One family's members of shard ``shard_index``, in global order.
-
-    The per-family entry point the discipline packages re-export (e.g.
-    ``generate_digital_questions_scaled``): the union of the five
-    families' slices for a shard is exactly :func:`build_shard`'s
-    output.  ``total`` clips the final shard of an ``n``-question build;
-    omitted, the shard is taken at full ``shard_size``.
-    """
-    if shard_index < 0:
-        raise ScaleConfigError("shard_index must be >= 0")
-    stop = (shard_index + 1) * shard_size
-    if total is not None:
-        stop = min(stop, total)
-    spec = ShardSpec(total=stop, seed=seed, shard_size=shard_size,
-                     index=shard_index)
-    return [q for q in build_shard(spec) if q.category is category]
-
-
 # -- shard specs and the build cache -----------------------------------------
 
 
@@ -310,8 +286,8 @@ class ShardSpec:
         A tuple of primitives — the :class:`~repro.core.perfstats.
         SpillStore` stores the entry under the sha256 of its ``repr``,
         which is deterministic across processes.  The generator
-        fingerprint folds in every family's ``GENERATOR_VERSION`` and
-        the schema version (see :func:`generator_fingerprint`).
+        fingerprint folds in every :data:`GENERATOR_VERSIONS` entry
+        and the schema version (see :func:`generator_fingerprint`).
         """
         return ("chipvqa-shard", generator_fingerprint(), self.seed,
                 self.start, self.stop)
@@ -774,14 +750,6 @@ class StreamingDataset:
         for shard in self.iter_shards():
             for question in shard:
                 yield question
-
-    def materialize(self, backend: Any = None,
-                    workers: int = 1) -> Dataset:
-        """The full collection as one :class:`Dataset` (O(n) memory)."""
-        return build_scaled(self.total, self.seed,
-                            shard_size=self.shard_size,
-                            backend=backend, workers=workers,
-                            validate=False, challenge=self.challenge)
 
     @property
     def peak_resident_questions(self) -> int:

@@ -499,12 +499,6 @@ def get_cache(name: str) -> Optional[LruCache]:
         return _REGISTRY.get(name)
 
 
-def cache_names() -> List[str]:
-    """Sorted names of every registered cache."""
-    with _REGISTRY_LOCK:
-        return sorted(_REGISTRY)
-
-
 def snapshot() -> Dict[str, Dict[str, int]]:
     """Counters of every registered cache, keyed by cache name.
 

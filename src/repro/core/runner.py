@@ -299,6 +299,14 @@ class RunStats:
             perfstats.merge_counters(self._absorbed_perf, moved)
 
     @property
+    def absorbed_perf_caches(self) -> Dict[str, Dict[str, int]]:
+        """The counter movement absorbed from worker processes alone
+        (the part of :attr:`perf_caches` this process's
+        :func:`perfstats.snapshot` cannot see)."""
+        with self._lock:
+            return perfstats.merge_counters({}, self._absorbed_perf)
+
+    @property
     def perf_caches(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/eviction counters of the perception-substrate caches,
         merged across this process and any absorbed worker processes."""

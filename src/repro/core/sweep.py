@@ -272,7 +272,11 @@ def run_scaled_table2(
                     setting=setting)
                 accumulators[(base, setting, s)] = result
                 multi.add_sample(result)
-    perf: Dict[str, Dict[str, int]] = {}
+    # The report counts this sweep alone: the process counters' movement
+    # from here to the end (shard builds and build waits happen between
+    # windows), plus what each window absorbed from worker processes.
+    perf_before = perfstats.snapshot()
+    absorbed: Dict[str, Dict[str, int]] = {}
     prefetcher = None
     if prefetch:
         from repro.core.pipeline import ShardPrefetcher
@@ -325,8 +329,8 @@ def run_scaled_table2(
                 accumulators[key].records.extend(
                     outcome.result_for(unit).records)
             if runner.last_stats is not None:
-                perfstats.merge_counters(perf,
-                                         runner.last_stats.perf_caches)
+                perfstats.merge_counters(
+                    absorbed, runner.last_stats.absorbed_perf_caches)
     finally:
         if prefetcher is not None:
             prefetcher.close()
@@ -342,6 +346,7 @@ def run_scaled_table2(
         peak_resident_questions=max(
             streams[setting].peak_resident_questions
             for setting in settings),
-        perf_caches=perf,
+        perf_caches=perfstats.merge_counters(
+            perfstats.delta(perf_before, perfstats.snapshot()), absorbed),
     )
     return report

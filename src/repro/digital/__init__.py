@@ -2,10 +2,7 @@
 machines, arithmetic and the 35 Digital ChipVQA questions built on them."""
 
 from repro.digital import arithmetic, expr, gates, kmap, sequential, verilog
-from repro.digital.questions import (
-    generate_digital_questions,
-    generate_digital_questions_scaled,
-)
+from repro.digital.questions import generate_digital_questions
 
 __all__ = [
     "arithmetic",
@@ -15,5 +12,4 @@ __all__ = [
     "sequential",
     "verilog",
     "generate_digital_questions",
-    "generate_digital_questions_scaled",
 ]

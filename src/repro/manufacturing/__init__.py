@@ -10,10 +10,7 @@ from repro.manufacturing import (
     spc,
     yieldmodel,
 )
-from repro.manufacturing.questions import (
-    generate_manufacturing_questions,
-    generate_manufacturing_questions_scaled,
-)
+from repro.manufacturing.questions import generate_manufacturing_questions
 
 __all__ = [
     "defects",
@@ -23,5 +20,4 @@ __all__ = [
     "spc",
     "yieldmodel",
     "generate_manufacturing_questions",
-    "generate_manufacturing_questions_scaled",
 ]

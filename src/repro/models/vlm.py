@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.question import Category, Question, QuestionType
+from repro.core.question import Category, Question
 from repro.core.prompts import PromptBundle, build_prompt
 from repro.models.encoder import VisualEncoder, rate_scaling
 from repro.models.irt import OutcomePlan, abilities_from_rates, plan_outcomes
@@ -164,11 +164,3 @@ class SimulatedVLM:
         return ModelAnswer(qid=question.qid, text=text,
                            planned_correct=correct,
                            perception=perception, prompt=prompt)
-
-
-def setting_for(dataset_questions: Sequence[Question]) -> str:
-    """Infer the Table II setting from a dataset's composition."""
-    if any(q.question_type is QuestionType.MULTIPLE_CHOICE
-           for q in dataset_questions):
-        return WITH_CHOICE
-    return NO_CHOICE

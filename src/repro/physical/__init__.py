@@ -13,10 +13,7 @@ from repro.physical import (
     sta,
     steiner,
 )
-from repro.physical.questions import (
-    generate_physical_questions,
-    generate_physical_questions_scaled,
-)
+from repro.physical.questions import generate_physical_questions
 
 __all__ = [
     "congestion",
@@ -29,5 +26,4 @@ __all__ = [
     "sta",
     "steiner",
     "generate_physical_questions",
-    "generate_physical_questions_scaled",
 ]

@@ -11,7 +11,7 @@ Visual budget (DESIGN.md): 8 layouts, 6 diagrams, 5 schematics, 2 tables,
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analog.netlist import Circuit
 from repro.core.question import (
@@ -689,30 +689,3 @@ def generate_physical_questions() -> List[Question]:
     ]
     return questions
 
-
-#: Version of this family's question generators.  Folded into the
-#: content-addressed build-cache fingerprint (see
-#: :func:`repro.core.databuild.generator_fingerprint`): bump whenever a
-#: builder's output changes so stale cached shards are invalidated.
-GENERATOR_VERSION = "physical-1"
-
-
-def generate_physical_questions_scaled(
-    seed: int,
-    shard_index: int,
-    shard_size: int,
-    total: Optional[int] = None,
-) -> List[Question]:
-    """Physical Design members of one shard of a seeded scaled build.
-
-    Delegates to :func:`repro.core.databuild.family_scaled_questions`:
-    shard ``shard_index`` of the interleaved global sequence is built
-    (through the shard build cache) and this family's members are
-    returned in global order.  ``total`` clips the final shard of an
-    ``n``-question build.
-    """
-    from repro.core.databuild import family_scaled_questions
-    from repro.core.question import Category
-
-    return family_scaled_questions(
-        Category.PHYSICAL, seed, shard_index, shard_size, total=total)

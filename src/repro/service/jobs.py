@@ -24,7 +24,8 @@ service semantics on top:
   digest results incrementally with an offset cursor, and server
   memory no longer grows with the number of jobs served by their
   payloads — a finished job keeps only its status record, and only the
-  :data:`MAX_FINISHED_JOBS` most recently finished jobs keep even that;
+  :data:`MAX_FINISHED_JOBS` most recently finished jobs keep even that
+  (a forgotten job's run directory goes with its record);
 * **replicas** — ``"replicas": N`` in a spec serves each model through
   a :class:`~repro.service.router.ProviderRouter` over N identical
   provider instances with breaker-aware failover.
@@ -50,6 +51,7 @@ the canonical bytes.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import threading
 import time
@@ -75,7 +77,8 @@ BACKENDS = ("serial", "thread", "process", "async")
 DEFAULT_MAX_PENDING = 64
 
 #: Finished jobs the queue remembers; past this, the one that finished
-#: first is forgotten and its id answers like an unknown one.
+#: first is forgotten, its run directory removed, and its id answers
+#: like an unknown one.
 MAX_FINISHED_JOBS = 256
 
 
@@ -194,7 +197,7 @@ class JobQueue:
     across jobs — the perception caches make consecutive jobs over the
     same models dramatically cheaper.  Queued and running jobs are
     always kept; of the finished ones, the last
-    :data:`MAX_FINISHED_JOBS` to finish are.
+    :data:`MAX_FINISHED_JOBS` to finish are, each with its run directory.
     """
 
     def __init__(
@@ -335,13 +338,14 @@ class JobQueue:
     def _finish_locked(self, job: Job, status: str,
                        error: Optional[str] = None) -> None:
         """End ``job`` as ``status`` and count it, first forgetting the
-        earliest-finished jobs past :data:`MAX_FINISHED_JOBS`, so a
-        waiter woken by the finish sees the table already bounded
-        (caller holds the lock)."""
+        earliest-finished jobs past :data:`MAX_FINISHED_JOBS` and
+        removing their run directories, so a waiter woken by the finish
+        sees the table already bounded (caller holds the lock)."""
         self._counters[f"jobs_{status}"] += 1
         self._finished.append(job.job_id)
         while len(self._finished) > MAX_FINISHED_JOBS:
-            self._jobs.pop(self._finished.popleft(), None)
+            forgotten = self._jobs.pop(self._finished.popleft())
+            shutil.rmtree(forgotten.run_dir, ignore_errors=True)
         job.finish(status, error)
 
     def _build_units(self, job: Job) -> list:

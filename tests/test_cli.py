@@ -6,6 +6,17 @@ import repro.cli
 from repro.cli import build_parser, main
 
 
+def usage_error(argv, capsys) -> str:
+    """Run ``main(argv)``, require a usage error (exit status 2, no
+    traceback) and return its stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -249,27 +260,27 @@ class TestFleetFlags:
         assert main(["verify-run", str(run_dir)]) == 0
         assert "commits.jsonl" in capsys.readouterr().out
 
-    def test_nodes_and_workers_are_exclusive(self):
-        with pytest.raises(SystemExit, match="exclusive"):
-            main(["table2", "--models", "kosmos-2",
-                  "--nodes", "2", "--workers", "2"])
+    def test_nodes_and_workers_are_exclusive(self, capsys):
+        err = usage_error(["table2", "--models", "kosmos-2",
+                           "--nodes", "2", "--workers", "2"], capsys)
+        assert "exclusive" in err
 
-    def test_nodes_rejects_thread_backend(self):
-        with pytest.raises(SystemExit, match="inline nodes"):
-            main(["table2", "--models", "kosmos-2",
-                  "--nodes", "2", "--backend", "thread"])
+    def test_nodes_rejects_thread_backend(self, capsys):
+        err = usage_error(["table2", "--models", "kosmos-2",
+                           "--nodes", "2", "--backend", "thread"], capsys)
+        assert "inline nodes" in err
 
-    def test_nodes_below_one_is_a_hard_error(self):
-        """There is no fleet of zero nodes to substitute — unlike the
-        --workers floor clamp, this is a configuration error."""
-        with pytest.raises(SystemExit,
-                           match=r"--nodes must be >= 1 \(got 0\)"):
-            main(["table2", "--models", "kosmos-2", "--nodes", "0"])
+    def test_nodes_below_one_is_a_hard_error(self, capsys):
+        """There is no fleet of zero nodes to substitute: a usage
+        error, like every other count below 1."""
+        err = usage_error(["table2", "--models", "kosmos-2",
+                           "--nodes", "0"], capsys)
+        assert "--nodes: must be >= 1 (got 0)" in err
 
-    def test_nodes_negative_is_a_hard_error(self):
-        with pytest.raises(SystemExit,
-                           match=r"--nodes must be >= 1 \(got -3\)"):
-            main(["table2", "--models", "kosmos-2", "--nodes=-3"])
+    def test_nodes_negative_is_a_hard_error(self, capsys):
+        err = usage_error(["table2", "--models", "kosmos-2",
+                           "--nodes=-3"], capsys)
+        assert "--nodes: must be >= 1 (got -3)" in err
 
     def test_nodes_clamped_to_cpu_count(self, capsys, monkeypatch):
         monkeypatch.setattr(repro.cli.os, "cpu_count", lambda: 2)
@@ -287,11 +298,10 @@ class TestFleetFlags:
                      "--nodes", "2"]) == 0
         assert "warning:" not in capsys.readouterr().out
 
-    def test_breaker_cooldown_requires_breaker(self):
-        with pytest.raises(SystemExit,
-                           match="--breaker-cooldown requires --breaker"):
-            main(["table2", "--models", "kosmos-2",
-                  "--breaker-cooldown", "5"])
+    def test_breaker_cooldown_requires_breaker(self, capsys):
+        err = usage_error(["table2", "--models", "kosmos-2",
+                           "--breaker-cooldown", "5"], capsys)
+        assert "--breaker-cooldown requires --breaker" in err
 
     def test_breaker_cooldown_with_breaker_accepted(self, capsys):
         assert main(["table2", "--models", "kosmos-2",
@@ -321,6 +331,222 @@ class TestUnknownModels:
         assert len(errors) == 1
         assert "nosuch" in errors[0]
         assert "gpt-4o" in errors[0] and "kosmos-2" in errors[0]
+
+
+K2 = ["table2", "--models", "kosmos-2"]
+# never contacted: every row below fails its check before any request
+SERVICE = ["table2", "--service", "http://127.0.0.1:9"]
+SCALED = ["table2", "--models", "gpt-4o", "--limit", "10"]
+
+
+def _row(id_, argv, message):
+    return pytest.param(argv, message, id=id_)
+
+
+#: Command lines that cannot be acted on, and a piece of the one-line
+#: usage error each must print.  Exit status 2 is asserted for all.
+USAGE_ERRORS = [
+    # out-of-range values
+    _row("shard-size-0", K2 + ["--limit", "10", "--shard-size", "0"],
+         "argument --shard-size: must be >= 1 (got 0)"),
+    _row("failure-rate-2", K2 + ["--provider", "remote",
+                                 "--failure-rate", "2"],
+         "argument --failure-rate: must be in [0, 1] (got 2)"),
+    _row("rate-limit-0", K2 + ["--backend", "async", "--rate-limit", "0"],
+         "argument --rate-limit: must be > 0 (got 0)"),
+    _row("breaker-0", K2 + ["--breaker", "0"],
+         "argument --breaker: must be >= 1 (got 0)"),
+    _row("deadline-negative", K2 + ["--deadline", "-1"],
+         "argument --deadline: must be >= 0 (got -1)"),
+    _row("latency-negative", K2 + ["--provider", "remote",
+                                   "--latency", "-1"],
+         "argument --latency: must be >= 0 (got -1)"),
+    _row("hedge-after-negative", K2 + ["--backend", "async",
+                                       "--hedge-after", "-1"],
+         "argument --hedge-after: must be >= 0 (got -1)"),
+    _row("breaker-cooldown-negative", K2 + ["--breaker", "2",
+                                            "--breaker-cooldown", "-5"],
+         "argument --breaker-cooldown: must be >= 0 (got -5)"),
+    _row("resolution-factor-0", ["resolution", "--factors", "0"],
+         "argument --factors: must be >= 1 (got 0)"),
+    _row("evaluate-resolution-0", ["evaluate", "--resolution", "0"],
+         "argument --resolution: must be >= 1 (got 0)"),
+    # flags that mean nothing on the canonical sweep
+    _row("local-replicas", K2 + ["--replicas", "3"],
+         "--replicas 3 applies only to --service"),
+    _row("local-shard-size", K2 + ["--shard-size", "5"],
+         "--shard-size 5 applies only to the scaled path"),
+    _row("local-latency", K2 + ["--latency", "0.01"],
+         "--latency requires --provider remote or --service"),
+    _row("local-failure-rate", K2 + ["--failure-rate", "0.5"],
+         "--failure-rate requires --provider remote or --service"),
+    # unknown names, empty lists, text that is not a finite number
+    _row("export-figures-limit-negative",
+         ["export-figures", "--limit", "-1"],
+         "argument --limit: must be >= 1 (got -1)"),
+    _row("resolution-factors-empty", ["resolution", "--factors"],
+         "argument --factors: expected at least one argument"),
+    _row("resolution-unknown-category",
+         ["resolution", "--category", "Bogus"],
+         "argument --category: unknown category 'Bogus'"),
+    _row("show-unknown-qid", ["show", "nope-99"],
+         "argument qid: unknown question id 'nope-99'"),
+    _row("not-a-number", K2 + ["--workers", "two"],
+         "argument --workers: invalid number 'two'"),
+    _row("not-finite", K2 + ["--deadline", "inf"],
+         "argument --deadline: invalid number 'inf'"),
+    # each flag on a path it does not apply to
+    _row("scaled-remote-provider", SCALED + ["--provider", "remote"],
+         "--provider remote applies only to the canonical sweep"),
+    _row("service-remote-provider", SERVICE + ["--provider", "remote"],
+         "--provider remote applies only to the canonical sweep"),
+    _row("service-limit", SERVICE + ["--limit", "10"],
+         "--limit 10 applies only to the scaled path"),
+    _row("service-dataset-seed", SERVICE + ["--dataset-seed", "3"],
+         "--dataset-seed 3 applies only to the scaled path"),
+    _row("service-samples", SERVICE + ["--samples", "3"],
+         "--samples 3 applies only to the scaled path"),
+    _row("service-shard-size", SERVICE + ["--shard-size", "5"],
+         "--shard-size 5 applies only to the scaled path"),
+    _row("local-prefetch", K2 + ["--prefetch", "2"],
+         "--prefetch 2 applies only to the scaled path"),
+    _row("local-prefetch-builder", K2 + ["--prefetch-builder", "process"],
+         "--prefetch-builder process applies only to the scaled path"),
+    _row("scaled-replicas", SCALED + ["--replicas", "2"],
+         "--replicas 2 applies only to --service"),
+    _row("service-nodes", SERVICE + ["--nodes", "2"],
+         "--nodes 2 applies only to the canonical sweep or the scaled"),
+    _row("service-rate-limit", SERVICE + ["--backend", "async",
+                                          "--rate-limit", "5"],
+         "--rate-limit 5.0 applies only to the canonical sweep"),
+    _row("service-hedge-after", SERVICE + ["--backend", "async",
+                                           "--hedge-after", "1"],
+         "--hedge-after 1.0 applies only to the canonical sweep"),
+    _row("service-breaker-cooldown", SERVICE + ["--breaker", "2",
+                                                "--breaker-cooldown", "5"],
+         "--breaker-cooldown 5.0 applies only to the canonical sweep"),
+    _row("service-spill-dir", SERVICE + ["--spill-dir", "spill"],
+         "--spill-dir spill applies only to the canonical sweep"),
+    _row("service-run-dir", SERVICE + ["--run-dir", "run"],
+         "--run-dir run applies only to the canonical sweep"),
+    _row("service-no-resume", SERVICE + ["--no-resume"],
+         "--no-resume applies only to the canonical sweep"),
+    _row("service-cache-stats", SERVICE + ["--cache-stats"],
+         "--cache-stats applies only to the canonical sweep"),
+    # cross-flag rules
+    _row("rate-limit-needs-async", K2 + ["--rate-limit", "5"],
+         "--rate-limit requires --backend async"),
+    _row("hedge-after-needs-async", K2 + ["--backend", "thread",
+                                          "--hedge-after", "1"],
+         "--hedge-after requires --backend async"),
+    _row("cooldown-needs-breaker", K2 + ["--breaker-cooldown", "5"],
+         "--breaker-cooldown requires --breaker"),
+    _row("scaled-latency", SCALED + ["--latency", "0.1"],
+         "--latency requires --provider remote or --service"),
+    _row("nodes-and-workers", K2 + ["--nodes", "2", "--workers", "2"],
+         "--nodes and --workers are exclusive"),
+    _row("nodes-and-thread", K2 + ["--nodes", "2", "--backend", "thread"],
+         "--nodes runs inline nodes by default"),
+    _row("nodes-and-async", K2 + ["--nodes", "2", "--backend", "async"],
+         "--nodes runs inline nodes by default"),
+    # counts below 1
+    _row("nodes-0", K2 + ["--nodes", "0"],
+         "argument --nodes: must be >= 1 (got 0)"),
+    _row("workers-0", K2 + ["--workers", "0"],
+         "argument --workers: must be >= 1 (got 0)"),
+    _row("limit-0", K2 + ["--limit", "0"],
+         "argument --limit: must be >= 1 (got 0)"),
+    _row("samples-0", K2 + ["--samples", "0"],
+         "argument --samples: must be >= 1 (got 0)"),
+    _row("prefetch-0", SCALED + ["--prefetch", "0"],
+         "argument --prefetch: must be >= 1 (got 0)"),
+    _row("replicas-0", SERVICE + ["--replicas", "0"],
+         "argument --replicas: must be >= 1 (got 0)"),
+    _row("resolution-workers-0", ["resolution", "--workers", "0"],
+         "argument --workers: must be >= 1 (got 0)"),
+]
+
+#: Command lines that must parse and pass every check: explicit
+#: defaults on any path, and the command lines the README, docs/ and
+#: the verify notes show.
+ACCEPTED = [
+    K2 + ["--samples", "1"],
+    K2 + ["--prefetch-builder", "thread"],
+    K2 + ["--nodes", "1", "--latency", "0", "--failure-rate", "0"],
+    SCALED + ["--provider", "local", "--samples", "1"],
+    SERVICE + ["--samples", "1", "--prefetch-builder", "thread",
+               "--nodes", "1", "--replicas", "1"],
+    SERVICE + ["--latency", "0.01", "--failure-rate", "0.1"],
+    # README
+    ["table2"],
+    ["evaluate", "--model", "llava-34b", "--challenge"],
+    ["compare", "gpt-4o", "vila-yi-34b"],
+    ["export-figures", "--out", "figures", "--limit", "20"],
+    ["table2", "--workers", "8", "--run-dir", "runs/table2"],
+    ["verify-run", "DIR"],
+    # docs/
+    ["table2", "--nodes", "4", "--run-dir", "runs/table2",
+     "--cache-stats"],
+    ["export-dataset", "--out", "chipvqa.jsonl"],
+    ["export-figures"],
+    ["table2", "--models", "gpt-4o", "--limit", "10082",
+     "--dataset-seed", "1", "--spill-dir", "/tmp/chipvqa-cache"],
+    ["table2", "--models", "gpt-4o", "llava-7b", "--limit", "1420",
+     "--samples", "5", "--run-dir", "runs/passk-sweep"],
+    ["table2", "--models", "gpt-4o", "llava-7b", "--cache-stats"],
+    ["resolution", "--factors", "1", "8", "16", "--cache-stats"],
+    ["table2", "--provider", "local"],
+    ["table2", "--provider", "remote", "--latency", "0.05",
+     "--failure-rate", "0.1"],
+    ["table2", "--breaker", "3", "--quarantine", "--deadline", "900"],
+    ["table2", "--service", "http://127.0.0.1:8377", "--models",
+     "gpt-4o", "llava-7b", "--replicas", "2", "--metrics-out",
+     "metrics.prom"],
+    # the verify notes
+    ["table2", "--models", "gpt-4o", "llava-7b", "--workers", "4",
+     "--run-dir", "/tmp/run"],
+    ["table2", "--workers", "1", "--run-dir", "/tmp/k"],
+    ["resolution", "--model", "gpt-4o", "--workers", "3"],
+    ["table2", "--models", "gpt-4o", "--provider", "remote",
+     "--latency", "0.001", "--failure-rate", "1.0", "--run-dir",
+     "/tmp/pr"],
+    ["table2", "--models", "gpt-4o", "llava-7b", "--workers", "4",
+     "--backend", "process", "--spill-dir", "/tmp/sp", "--run-dir",
+     "/tmp/p1", "--cache-stats"],
+    ["table2", "--models", "gpt-4o", "llava-7b", "--limit", "284",
+     "--dataset-seed", "1", "--samples", "3", "--run-dir", "/tmp/sc",
+     "--spill-dir", "/tmp/scache", "--cache-stats"],
+    ["table2", "--models", "gpt-4o", "llava-7b", "--limit", "568",
+     "--dataset-seed", "1", "--shard-size", "142", "--prefetch", "2",
+     "--run-dir", "/tmp/pp", "--cache-stats"],
+    ["table2", "--models", "gpt-4o", "llava-7b", "--limit", "568",
+     "--dataset-seed", "1", "--shard-size", "142", "--prefetch", "2",
+     "--prefetch-builder", "process", "--run-dir", "/tmp/pq"],
+    ["table2", "--service", "http://127.0.0.1:8391", "--replicas", "2",
+     "--metrics-out", "/tmp/svc.prom"],
+    ["show", "dig-08", "--figure", "fig.pgm"],
+]
+
+
+class TestCommandLineContract:
+    """Exit status 0/1/2: every command line that cannot be acted on is
+    a usage error (exit 2) naming its flag, never a traceback or a
+    silently ignored flag."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+    def test_bad_command_line_exits_2(self, argv, message, capsys):
+        err = usage_error(argv, capsys)
+        assert message in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", ACCEPTED,
+                             ids=lambda argv: " ".join(argv))
+    def test_documented_command_line_passes_the_checks(
+            self, argv, monkeypatch):
+        """Parse and check only: each command is stubbed out."""
+        for name in dir(repro.cli):
+            if name.startswith("_cmd_"):
+                monkeypatch.setattr(repro.cli, name, lambda args: 0)
+        assert main(argv) == 0
 
 
 class TestMetricsOut:

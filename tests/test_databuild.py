@@ -211,29 +211,7 @@ def test_async_backend_rejected_for_builds():
                                validate=False)
 
 
-# -- family generator entry points --------------------------------------------
-
-
-def test_family_scaled_generators_partition_each_shard():
-    from repro.analog import generate_analog_questions_scaled
-    from repro.arch import generate_architecture_questions_scaled
-    from repro.digital import generate_digital_questions_scaled
-    from repro.manufacturing import generate_manufacturing_questions_scaled
-    from repro.physical import generate_physical_questions_scaled
-
-    generators = (generate_digital_questions_scaled,
-                  generate_analog_questions_scaled,
-                  generate_architecture_questions_scaled,
-                  generate_manufacturing_questions_scaled,
-                  generate_physical_questions_scaled)
-    spec = databuild.ShardSpec(total=400, seed=3, shard_size=150,
-                               index=1)
-    shard = databuild.build_shard(spec)
-    union = [q for gen in generators
-             for q in gen(3, 1, 150, total=400)]
-    assert sorted(q.qid for q in union) == sorted(q.qid for q in shard)
-    assert sum(len(gen(3, 1, 150, total=400)) for gen in generators) \
-        == spec.size
+# -- generator versions -------------------------------------------------------
 
 
 def test_generator_fingerprint_covers_every_family():
@@ -241,6 +219,8 @@ def test_generator_fingerprint_covers_every_family():
     assert set(versions) == {"analog", "architecture", "digital",
                              "manufacturing", "physical"}
     assert len(databuild.generator_fingerprint()) == 16
+    # pinned: a moved fingerprint invalidates every cached shard on disk
+    assert databuild.generator_fingerprint() == "ae6ae8a3d96c3555"
 
 
 # -- dataset specs ------------------------------------------------------------
@@ -380,19 +360,24 @@ def test_sweep_summary_artifact_round_trips(tmp_path):
 
 
 def test_cli_limit_and_samples_clamp_with_warning(capsys):
-    from repro.cli import _effective_limit, _effective_samples
+    """Counts below 1 are usage errors (exit 2); any count >= 1 is
+    taken as given, with no upper clamp."""
+    from repro.cli import build_parser
+    from tests.test_cli import usage_error
 
-    assert _effective_limit(0) == 1
-    assert "warning: --limit 0" in capsys.readouterr().out
-    assert _effective_limit(50) == 50
-    assert _effective_samples(-3) == 1
-    assert "warning: --samples -3" in capsys.readouterr().out
-    assert _effective_samples(4) == 4
+    scaled = ["table2", "--models", "gpt-4o"]
+    err = usage_error(scaled + ["--limit", "0"], capsys)
+    assert "--limit: must be >= 1 (got 0)" in err
+    err = usage_error(scaled + ["--samples", "-3"], capsys)
+    assert "--samples: must be >= 1 (got -3)" in err
+    args = build_parser().parse_args(scaled + ["--limit", "50",
+                                               "--samples", "4"])
+    assert (args.limit, args.samples) == (50, 4)
 
 
-def test_cli_scaled_path_requires_local_provider():
-    from repro.cli import main
+def test_cli_scaled_path_requires_local_provider(capsys):
+    from tests.test_cli import usage_error
 
-    with pytest.raises(SystemExit, match="--provider local"):
-        main(["table2", "--models", "llava-7b", "--limit", "10",
-              "--provider", "remote"])
+    err = usage_error(["table2", "--models", "llava-7b", "--limit", "10",
+                       "--provider", "remote"], capsys)
+    assert "--provider remote applies only to the canonical sweep" in err

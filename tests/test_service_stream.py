@@ -55,8 +55,8 @@ class TestResultStream:
     def test_queue_keeps_a_bounded_number_of_finished_jobs(
             self, tmp_path, monkeypatch):
         """Past ``MAX_FINISHED_JOBS`` finished jobs the earliest one is
-        forgotten, as an unknown id is; the rest still report their
-        status and stream their results."""
+        forgotten, as an unknown id is, and its run directory removed;
+        the rest still report their status and stream their results."""
         monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 2)
         server = serve(queue_workers=1, run_root=tmp_path)
         client = EvalServiceClient(server.url)
@@ -68,9 +68,12 @@ class TestResultStream:
                 job_ids.append(job.job_id)
             with pytest.raises(ServiceError, match="404"):
                 client.job_status(job_ids[0])
+            assert not (tmp_path / f"job-{job_ids[0]}").exists()
             for job_id in job_ids[1:]:
                 assert client.job_status(job_id)["status"] == "completed"
                 assert len(list(client.stream_results(job_id))) == 4
+                assert len(list(
+                    (tmp_path / f"job-{job_id}").glob("*.jsonl"))) == 4
         finally:
             server.shutdown()
             server.queue.shutdown()

@@ -327,6 +327,21 @@ class TestStageTimings:
             assert stages[f"{name}_calls"] > 0, name
             assert stages[f"{name}_ns"] > 0, name
 
+    def test_sweep_report_counts_only_its_own_sweep(self):
+        """Three windows of one shard each: the report holds exactly
+        this sweep's counter movement, once."""
+        before = perfstats.snapshot()
+        report = run_scaled_table2(["gpt-4o"], total=60, seed=1,
+                                   shard_size=20,
+                                   include_challenge=False)
+        moved = perfstats.delta(before, perfstats.snapshot())
+        perf = report.perf_caches
+        stages = perf[perfstats.STAGE_TIMINGS_NAME]
+        assert perf["dataset_build"]["misses"] == 3
+        assert stages["build_wait_calls"] == 3
+        assert perf["perception"]["misses"] == 60
+        assert perf == moved
+
     def test_cache_stats_prints_the_stage_table(self, capsys):
         from repro.cli import _print_cache_stats
 
@@ -369,35 +384,62 @@ class TestStageTimings:
 
 
 class TestPrefetchFlag:
-    def test_rejects_non_positive(self):
-        from repro.cli import _effective_prefetch
+    """``table2 --prefetch`` through ``main``: a bad value is a usage
+    error (exit 2), a large one is clamped to ``max(2, workers)``."""
 
-        with pytest.raises(SystemExit, match="--prefetch must be >= 1"):
-            _effective_prefetch(0, workers=4)
-        with pytest.raises(SystemExit, match="--prefetch must be >= 1"):
-            _effective_prefetch(-2, workers=4)
+    @pytest.fixture
+    def sweep_prefetch(self, monkeypatch):
+        """Record the ``prefetch`` each scaled CLI run passes on."""
+        import repro.cli
+        from repro.core import sweep
 
-    def test_none_means_serial(self):
-        from repro.cli import _effective_prefetch
+        monkeypatch.setattr(repro.cli.os, "cpu_count", lambda: 8)
+        seen = []
+        real = sweep.run_scaled_table2
 
-        assert _effective_prefetch(None, workers=4) == 0
+        def recording(*args, **kwargs):
+            seen.append(kwargs["prefetch"])
+            return real(*args, **kwargs)
 
-    def test_clamps_against_workers_with_warning(self, capsys):
-        from repro.cli import _effective_prefetch
+        monkeypatch.setattr(sweep, "run_scaled_table2", recording)
+        return seen
 
-        assert _effective_prefetch(2, workers=4) == 2
-        assert capsys.readouterr().out == ""
-        assert _effective_prefetch(64, workers=4) == 4
-        assert "warning: --prefetch 64" in capsys.readouterr().out
-        # floor of 2: even a single-worker run may overlap one build
-        assert _effective_prefetch(3, workers=1) == 2
+    def test_rejects_non_positive(self, capsys):
+        from tests.test_cli import usage_error
 
-    def test_plain_table2_rejects_prefetch(self):
+        for value in ("0", "-2"):
+            err = usage_error(["table2", "--models", "gpt-4o",
+                               "--limit", "10", "--prefetch", value],
+                              capsys)
+            assert f"--prefetch: must be >= 1 (got {value})" in err
+
+    def test_none_means_serial(self, sweep_prefetch, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--prefetch applies"):
-            main(["table2", "--models", "gpt-4o",
-                  "--prefetch", "2"])
+        assert main(["table2", "--models", "gpt-4o", "--limit", "10",
+                     "--workers", "4"]) == 0
+        assert sweep_prefetch == [0]
+
+    def test_clamps_against_workers_with_warning(self, sweep_prefetch,
+                                                 capsys):
+        from repro.cli import main
+
+        scaled = ["table2", "--models", "gpt-4o", "--limit", "10"]
+        assert main(scaled + ["--workers", "4", "--prefetch", "2"]) == 0
+        assert "warning:" not in capsys.readouterr().out
+        assert main(scaled + ["--workers", "4", "--prefetch", "64"]) == 0
+        assert ("warning: --prefetch 64 exceeds the useful lookahead for "
+                "4 worker(s); using 4") in capsys.readouterr().out
+        # floor of 2: even a single-worker run may overlap one build
+        assert main(scaled + ["--prefetch", "3"]) == 0
+        assert sweep_prefetch == [2, 4, 2]
+
+    def test_plain_table2_rejects_prefetch(self, capsys):
+        from tests.test_cli import usage_error
+
+        err = usage_error(["table2", "--models", "gpt-4o",
+                           "--prefetch", "2"], capsys)
+        assert "--prefetch 2 applies only to the scaled path" in err
 
 
 # -- pipelined sweep: byte identity and memory ------------------------------
