@@ -42,16 +42,13 @@ STREAM_N = 71 * 142
 def test_warm_cache_identity(tmp_path):
     """Smoke (any machine): a warm rebuild through the disk cache is
     question-identical to the cold build, render specs included."""
-    databuild.enable_build_cache(tmp_path)
-    try:
+    with perfstats.scope(tmp_path):
         perfstats.reset()
         cold = build_chipvqa_scaled(3 * 142, 11, validate=False)
         perfstats.reset()
         warm = build_chipvqa_scaled(3 * 142, 11, validate=False)
         stats = perfstats.snapshot()[databuild.BUILD_CACHE_NAME]
         assert stats["spill_hits"] == 3 and stats["misses"] == 0
-    finally:
-        databuild.disable_build_cache()
     assert warm.content_digest() == cold.content_digest()
 
 
@@ -64,8 +61,7 @@ def test_warm_build_at_least_3x_faster_than_cold(tmp_path):
     run pays the full solver build and the warm run must come entirely
     from the disk tier.
     """
-    databuild.enable_build_cache(tmp_path)
-    try:
+    with perfstats.scope(tmp_path):
         perfstats.reset()
         databuild.reset_canonical_cycle()
         start = time.perf_counter()
@@ -78,8 +74,6 @@ def test_warm_build_at_least_3x_faster_than_cold(tmp_path):
         warm = build_chipvqa_scaled(WARM_N, 11, validate=False)
         warm_s = time.perf_counter() - start
         stats = perfstats.snapshot()[databuild.BUILD_CACHE_NAME]
-    finally:
-        databuild.disable_build_cache()
 
     print(f"\nn={WARM_N}: cold {cold_s * 1e3:7.1f} ms   "
           f"warm {warm_s * 1e3:7.1f} ms   "

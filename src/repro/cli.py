@@ -46,20 +46,12 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_cache_stats(stats=None) -> None:
-    """Dump the perception-substrate cache counters (docs/PERF.md).
-
-    With a :class:`~repro.core.runner.RunStats`, counters come from the
-    run's merged view — which folds in worker-process movement under
-    ``--backend process`` — rather than this process's globals, so the
-    numbers stay truthful for every backend.
-    """
-    if isinstance(stats, dict):
-        counters = stats or perfstats.snapshot()
-    else:
-        counters = (stats.perf_caches if stats is not None
-                    and stats.perf_caches else perfstats.snapshot())
-    counters = dict(counters)
+def _print_cache_stats(stats) -> None:
+    """Dump one run's perception-substrate cache counters and stage
+    timers (docs/PERF.md): a :class:`~repro.core.runner.RunStats`'s,
+    or a sweep report's snapshot-shaped dict.  They count that run
+    alone, worker processes included, on every backend."""
+    counters = dict(stats if isinstance(stats, dict) else stats.perf_caches)
     stages = counters.pop(perfstats.STAGE_TIMINGS_NAME, None)
     print(f"\n{'cache':<12}{'hits':>8}{'misses':>8}{'evict':>7}"
           f"{'size':>7}{'spill':>7}{'hit rate':>10}")
@@ -341,17 +333,20 @@ def _print_resilience_warnings(stats) -> None:
               f"shared-store entrie(s) quarantined and rebuilt")
 
 
-def _write_metrics(args: argparse.Namespace, stats) -> None:
+def _write_metrics(args: argparse.Namespace, stats,
+                   perf_caches: Optional[Dict[str, Dict[str, int]]] = None
+                   ) -> None:
     """Honour ``--metrics-out``: write the run's counters as Prometheus
     text exposition (the batch-side twin of the service's ``/metrics``
-    endpoint; see docs/SERVICE.md)."""
+    endpoint; see docs/SERVICE.md).  ``perf_caches`` replaces the
+    cache counters of ``stats`` (a scaled sweep's cover all windows)."""
     path = getattr(args, "metrics_out", None)
     if not path:
         return
     from repro.service.metrics import render_prometheus
 
     written = results_io.atomic_write_text(
-        path, render_prometheus(stats))
+        path, render_prometheus(stats, perf_caches))
     print(f"\nmetrics -> {written}")
 
 
@@ -476,7 +471,7 @@ def _cmd_table2_scaled(args: argparse.Namespace) -> int:
               f"(checkpoints + manifest.json; audit with "
               f"`repro verify-run {args.run_dir}`)")
     _print_resilience_warnings(runner.last_stats)
-    _write_metrics(args, runner.last_stats)
+    _write_metrics(args, runner.last_stats, report.perf_caches)
     if args.cache_stats:
         _print_cache_stats(report.perf_caches)
         _print_coordinator_stats(runner.last_stats)

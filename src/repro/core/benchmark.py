@@ -204,9 +204,9 @@ def build_chipvqa_scaled(
 
     Shards are built through the content-addressed build cache in
     :mod:`repro.core.databuild` — optionally in parallel across an
-    executor ``backend`` — so warm rebuilds are near-free when a disk
-    tier is attached (``--spill-dir`` /
-    :func:`repro.core.perfstats.enable_spill`).
+    executor ``backend`` — so warm rebuilds are near-free inside a
+    scope with a disk tier (``--spill-dir``, or
+    ``with perfstats.scope(spill_root)``).
     """
     from repro.core.databuild import build_scaled
 

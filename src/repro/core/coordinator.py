@@ -38,6 +38,7 @@ digest.  See ``docs/COORDINATOR.md``.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import os
@@ -700,21 +701,16 @@ class SweepCoordinator:
         engine.commit_log = log
         engine.store = (ResultStore(self.store_dir)
                         if self.store_dir is not None else None)
-        collected, pending = engine.prepare(units, stats)
-        specs = {unit.unit_id: executor_mod.spec_for(unit)
-                 for unit in pending}
-        if self.spill_dir is not None:
-            perfstats.enable_spill(self.spill_dir)
-        try:
+        with perfstats.scope(self.spill_dir) as stats.perf:
+            collected, pending = engine.prepare(units, stats)
+            specs = {unit.unit_id: executor_mod.spec_for(unit)
+                     for unit in pending}
             if pending:
                 self._run_fleet(pending, specs, units, stats, collected)
-        finally:
-            if self.spill_dir is not None:
-                perfstats.disable_spill()
-        if self._fatal is not None:
-            raise self._fatal
-        stats.record_coordinator(self._snapshot_counters())
-        return engine.finalize(units, stats, collected)
+            if self._fatal is not None:
+                raise self._fatal
+            stats.record_coordinator(self._snapshot_counters())
+            return engine.finalize(units, stats, collected)
 
     # -- fleet machinery -----------------------------------------------------
 
@@ -744,10 +740,13 @@ class SweepCoordinator:
         if self.node_backend == "process":
             executor_mod.ensure_picklable(
                 list(specs.items()), self._node_options(fleet[0]))
+        # each node thread starts in a copy of this context: it sees the
+        # run's scope, and a scope it opens stays its own
         threads = [
             threading.Thread(
-                target=self._node_loop,
-                args=(node, specs, all_units, stats, collected),
+                target=contextvars.copy_context().run,
+                args=(self._node_loop, node, specs, all_units, stats,
+                      collected),
                 name=node.node_id, daemon=True)
             for node in fleet
         ]
@@ -844,15 +843,15 @@ class SweepCoordinator:
         """Per-node worker options: the node's heartbeat leads its fault
         boundary, so it registers as alive even on crossings where the
         user boundary raises.  Inline nodes beat in-thread; process
-        nodes touch their heartbeat file and attach the spill tier in
-        the worker."""
+        nodes touch their heartbeat file.  Either carries the run
+        scope's spill root."""
+        heartbeat: FaultBoundary
         if node.mode == "inline":
-            return executor_mod.WorkerOptions.for_engine(
-                self.engine, heartbeat=HeartbeatBoundary(
-                    lambda node=node: self._on_beat(node)))
-        return executor_mod.WorkerOptions.for_engine(
-            self.engine, self.spill_dir,
-            FileHeartbeatBoundary(str(node.heartbeat_path)))
+            heartbeat = HeartbeatBoundary(
+                lambda node=node: self._on_beat(node))
+        else:
+            heartbeat = FileHeartbeatBoundary(str(node.heartbeat_path))
+        return executor_mod.WorkerOptions.for_engine(self.engine, heartbeat)
 
     def _node_loop(self, node: Node, specs: Dict[str, executor_mod.UnitSpec],
                    all_units: Sequence[WorkUnit], stats: RunStats,
@@ -874,7 +873,9 @@ class SweepCoordinator:
                 break
             if node.lost:
                 # declared lost mid-unit (heartbeat blackout past the
-                # timeout): a retired node must not commit late work
+                # timeout): a retired node must not commit late work,
+                # though the work still counts in the run
+                stats.perf.fold(outcome.perf_delta)
                 with self._lock:
                     self._counters["late_results"] += 1
                 break
@@ -936,7 +937,8 @@ class SweepCoordinator:
         if was_terminal:
             # the original owner of a stolen unit finished late: dedup
             # at commit time, never double-append (a divergent payload
-            # raises CommitConflict)
+            # raises CommitConflict); its work still counts in the run
+            stats.perf.fold(outcome.perf_delta)
             log = self.engine.commit_log
             counter = "late_results"
             if (outcome.payload is not None

@@ -368,29 +368,14 @@ def _decode_shard(payload: Sequence[dict]) -> Tuple[Question, ...]:
 
 #: The shard build cache.  The memory tier holds a handful of recently
 #: built shards (keeping streaming sweeps O(shard) in memory); the
-#: codec makes it spill-capable, so ``perfstats.enable_spill`` /
-#: ``--spill-dir`` attach the content-addressed on-disk tier alongside
-#: the perception caches, and counters flow into ``RunStats.
-#: perf_caches`` / run manifests like every other substrate cache.
+#: codec makes it spill-capable, so inside a ``perfstats.scope`` with a
+#: spill root (``--spill-dir``) it is backed by the content-addressed
+#: on-disk tier alongside the perception caches, and its counters flow
+#: into ``RunStats.perf_caches`` / run manifests like every other
+#: substrate cache.
 _SHARD_CACHE = perfstats.LruCache(
     capacity=8, name=BUILD_CACHE_NAME,
     spill_codec=(_encode_shard, _decode_shard))
-
-
-def enable_build_cache(root: "Any") -> None:
-    """Attach the on-disk shard cache tier rooted at ``root``.
-
-    Equivalent to the ``dataset_build`` slice of
-    :func:`repro.core.perfstats.enable_spill`, for callers who want
-    warm dataset rebuilds without spilling the perception caches.
-    """
-    _SHARD_CACHE.attach_spill(perfstats.SpillStore(
-        root, BUILD_CACHE_NAME, _encode_shard, _decode_shard))
-
-
-def disable_build_cache() -> None:
-    """Detach the on-disk shard cache tier (entries on disk are kept)."""
-    _SHARD_CACHE.detach_spill()
 
 
 def _generate_shard(spec: ShardSpec) -> Tuple[Question, ...]:
@@ -423,8 +408,8 @@ def build_shards(
     rejected: shard generation is CPU-bound pure Python with no await
     points, so an event loop would serialise it with extra ceremony.
     Process workers return their shards to the parent, which re-enters
-    them into the build cache (write-through to the disk tier when one
-    is attached).
+    them into the build cache (write-through to the disk tier when the
+    caller's scope has a spill root).
     """
     from repro.core.executor import (
         AsyncBackend,
@@ -652,8 +637,9 @@ def build_scaled(
     """Materialise a full ``n``-question scaled collection.
 
     The workhorse behind :func:`repro.core.benchmark.
-    build_chipvqa_scaled`; shards go through the build cache (and any
-    attached disk tier), optionally in parallel across ``backend``.
+    build_chipvqa_scaled`; shards go through the build cache (and the
+    disk tier of a scope with a spill root), optionally in parallel
+    across ``backend``.
     """
     shard_size = DEFAULT_SHARD_SIZE if shard_size is None else shard_size
     specs = plan_shards(total, seed, shard_size)

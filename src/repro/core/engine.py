@@ -16,14 +16,17 @@ artifacts around it:
   judge-or-quarantine, classified into a
   :class:`~repro.core.executor.WorkerResult`.  The loop is written
   once, as a generator that yields its provider call and its backoff
-  sleeps; the two drivers differ only in how they serve those;
+  sleeps; the two drivers differ only in how they serve those.  It
+  runs in the unit's own isolated :func:`repro.core.perfstats.scope`,
+  whose tally is the outcome's ``perf_delta``;
 * :meth:`complete` — the completion epilogue: counters folded into
-  the unit's stats, the checkpoint written (or committed through the
-  commit log), telemetry attached, the breaker told, the payload
-  streamed, and the progress manifest written when
-  :data:`MANIFEST_INTERVAL_S` has passed since the last write;
-* :meth:`finalize` — perf-counter snapshot, final manifest, and the
-  ordered :class:`~repro.core.runner.RunOutcome`.
+  the unit's stats and its ``perf_delta`` into the run's scope, the
+  checkpoint written (or committed through the commit log), telemetry
+  attached, the breaker told, the payload streamed, and the progress
+  manifest written when :data:`MANIFEST_INTERVAL_S` has passed since
+  the last write;
+* :meth:`finalize` — the final manifest, whose counters are the run
+  scope's, and the ordered :class:`~repro.core.runner.RunOutcome`.
 
 Drivers — the serial/thread/async/process ``ParallelRunner``, the
 multi-node ``SweepCoordinator``, and the evaluation service's job
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from pathlib import Path
@@ -411,44 +413,42 @@ class EvalEngine:
         deadline = self.admission.deadline(clock=self.clock)
         if deadline is not None and watchdog is not None:
             watchdog.register(unit.unit_id, deadline, unit_stats)
-        outcome = WorkerResult(unit_id=unit.unit_id, status="completed",
-                               pid=os.getpid())
+        outcome = WorkerResult(unit_id=unit.unit_id, status="completed")
         start = time.perf_counter()
-        perf_before = perfstats.snapshot()
-        try:
-            for attempt in range(1, self.retry.max_attempts + 1):
-                outcome.attempts = attempt
-                try:
-                    outcome.result = yield from self._attempt(
-                        unit, outcome, deadline)
-                    break
-                except TransientModelError as exc:
-                    if attempt == self.retry.max_attempts:
-                        raise TransientModelError(
-                            f"{unit.unit_id}: transient fault persisted "
-                            f"through {attempt} attempts: {exc}") from None
-                    if deadline is not None:
-                        # an overdue unit must not burn more backoff time
-                        deadline.check(unit.unit_id)
-                    outcome.retries += 1
-                    yield self.retry.delay(attempt)
-        except ModelCallError as exc:
-            outcome.status = ("timed_out"
-                              if isinstance(exc, DeadlineExceeded)
-                              else "failed")
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if watchdog is not None:
-                watchdog.unregister(unit.unit_id)
-        outcome.wall_time_s = time.perf_counter() - start
-        perfstats.record_stage("eval", int(outcome.wall_time_s * 1e9))
-        # Substrate-cache movement while this unit ran.  The perfstats
-        # counters are process-global, so under parallel workers the
-        # delta attributes concurrent units' lookups too — a telemetry
-        # signal, not an accounting invariant (run-level totals in the
-        # manifest are exact).
-        outcome.perf_delta = perfstats.delta(perf_before,
-                                             perfstats.snapshot())
+        # The unit's own scope: it stays current across the yields, so
+        # the provider calls the driver makes count in it too, and no
+        # concurrent unit's lookups do; complete() folds its tally into
+        # the run's scope.
+        with perfstats.scope(isolated=True) as tally:
+            try:
+                for attempt in range(1, self.retry.max_attempts + 1):
+                    outcome.attempts = attempt
+                    try:
+                        outcome.result = yield from self._attempt(
+                            unit, outcome, deadline)
+                        break
+                    except TransientModelError as exc:
+                        if attempt == self.retry.max_attempts:
+                            raise TransientModelError(
+                                f"{unit.unit_id}: transient fault "
+                                f"persisted through {attempt} attempts: "
+                                f"{exc}") from None
+                        if deadline is not None:
+                            # an overdue unit must not burn more backoff
+                            deadline.check(unit.unit_id)
+                        outcome.retries += 1
+                        yield self.retry.delay(attempt)
+            except ModelCallError as exc:
+                outcome.status = ("timed_out"
+                                  if isinstance(exc, DeadlineExceeded)
+                                  else "failed")
+                outcome.error = f"{type(exc).__name__}: {exc}"
+            finally:
+                if watchdog is not None:
+                    watchdog.unregister(unit.unit_id)
+            outcome.wall_time_s = time.perf_counter() - start
+            perfstats.record_stage("eval", int(outcome.wall_time_s * 1e9))
+        outcome.perf_delta = tally.counters()
         return outcome
 
     def _attempt(self, unit: "WorkUnit", outcome: WorkerResult,
@@ -523,8 +523,9 @@ class EvalEngine:
                  outcome: WorkerResult, *,
                  node: Optional[str] = None) -> str:
         """Completion epilogue shared by every driver: fold the counters
-        into the unit's stats (and a worker process's cache-counter
-        movement into the run's); checkpoint a completed unit's canonical
+        into the unit's stats and the unit's scope tally into the run's
+        (the same for a unit from this thread, another thread or a
+        worker process); checkpoint a completed unit's canonical
         bytes (through the commit log when attached), attach telemetry,
         tell the breaker, stream the payload; write the progress
         manifest once :data:`MANIFEST_INTERVAL_S` of the engine's clock
@@ -534,10 +535,7 @@ class EvalEngine:
         ``EvalResult``.  Returns the commit status when a commit log is
         attached, else the unit's status.
         """
-        if outcome.pid != os.getpid():
-            # counters a worker process moved, which this process's
-            # perfstats.snapshot() cannot see
-            stats.absorb_perf_caches(outcome.perf_delta)
+        stats.perf.fold(outcome.perf_delta)
         unit_stats = stats.unit(unit.unit_id)
         for counter in OUTCOME_COUNTERS:
             setattr(unit_stats, counter, getattr(outcome, counter))
@@ -568,7 +566,6 @@ class EvalEngine:
             unit_stats.error = outcome.error
             self.admission.record_failure(unit.provider.name,
                                           outcome.error or status)
-        stats.record_perf_caches(perfstats.snapshot())
         if self._manifest_due():
             self.write_manifest(units, stats)
         return status
@@ -662,11 +659,10 @@ class EvalEngine:
 
     def finalize(self, units: "Sequence[WorkUnit]", stats: "RunStats",
                  collected: Dict[str, EvalResult]) -> "RunOutcome":
-        """Snapshot perf counters, write the final manifest, and fold
-        everything into an input-ordered :class:`RunOutcome`."""
+        """Write the final manifest and fold everything into an
+        input-ordered :class:`RunOutcome`."""
         from repro.core.runner import RunOutcome
 
-        stats.record_perf_caches(perfstats.snapshot())
         self.write_manifest(units, stats)
         ordered = {unit.unit_id: collected[unit.unit_id]
                    for unit in units if unit.unit_id in collected}

@@ -34,6 +34,10 @@ driving :class:`~repro.core.runner.ParallelRunner` admits, evaluates and
 completes each one.  :class:`ProcessBackend` owns every process pool in
 the package, and every submit to one holds a process-wide spawn lock.
 
+A thread-pool unit runs in a copy of its submitter's context, so it
+counts in the run's :func:`repro.core.perfstats.scope`; a forked worker
+counts only in the scope :func:`process_worker` opens.
+
 Worker failure is part of the contract: a dead worker process
 (``BrokenProcessPool``) rebuilds the pool and re-runs the interrupted
 units one at a time so the culprit is identified without collateral
@@ -48,6 +52,7 @@ serial and thread paths load none of them.
 
 from __future__ import annotations
 
+import contextvars
 import pickle
 import threading
 import time
@@ -247,12 +252,13 @@ class WorkerOptions:
     spill_root: Optional[str] = None
 
     @classmethod
-    def for_engine(cls, engine: "EvalEngine", spill_dir: Any = None,
+    def for_engine(cls, engine: "EvalEngine",
                    heartbeat: Optional[FaultBoundary] = None
                    ) -> "WorkerOptions":
         """The options that rerun ``engine``'s attempt loop in a worker,
         with ``heartbeat`` (a fleet node's) leading the fault boundary
-        and ``spill_dir`` the spill tier the worker attaches."""
+        and the current scope's spill root for the worker's scope."""
+        current = perfstats.current()
         boundary = engine.fault_boundary
         if heartbeat is not None:
             boundary = (CompositeBoundary(heartbeat, boundary)
@@ -263,7 +269,7 @@ class WorkerOptions:
             fault_boundary=boundary,
             quarantine=engine.admission.quarantine,
             deadline_s=engine.admission.deadline_s,
-            spill_root=str(spill_dir) if spill_dir is not None else None,
+            spill_root=current.spill_root if current is not None else None,
         )
 
 
@@ -277,11 +283,9 @@ class WorkerResult:
     canonical serialized checkpoint
     (``results_io.dumps(result, telemetry=False)``), written verbatim by
     the parent — the property that keeps process-backend artifacts
-    byte-identical to the thread path.  ``perf_delta`` is the unit's
-    perception-substrate counter movement and ``pid`` the process that
-    evaluated the unit; the completion epilogue folds the delta of any
-    other process back into
-    :attr:`~repro.core.runner.RunStats.perf_caches`.
+    byte-identical to the thread path.  ``perf_delta`` is the tally of
+    the scope the unit evaluated in, which the completion epilogue
+    folds into the run's scope whichever thread or process produced it.
     """
 
     unit_id: str
@@ -297,7 +301,6 @@ class WorkerResult:
     wall_time_s: float = 0.0
     worker_respawns: int = 0  # filled in by the parent
     perf_delta: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    pid: Optional[int] = None  # None: the parent made up the outcome
 
 
 def process_worker(spec: UnitSpec, options: WorkerOptions) -> WorkerResult:
@@ -308,33 +311,33 @@ def process_worker(spec: UnitSpec, options: WorkerOptions) -> WorkerResult:
     :meth:`repro.core.engine.EvalEngine.evaluate` — the attempt loop
     every driver shares, which guarantees byte-identity with in-process
     execution — and returns the canonical checkpoint payload instead of
-    the result object.  Wall time and counter movement span the whole
-    call, rebuild and serialization included; anything that is not a
+    the result object.  Wall time and the unit's tally span the whole
+    call, rebuild and serialization included: it runs in an isolated
+    scope rooted at ``options.spill_root``.  Anything that is not a
     model fault propagates to the parent.
     """
     from repro.core.engine import EvalEngine
 
-    if options.spill_root is not None:
-        perfstats.enable_spill(options.spill_root)
-    perf_before = perfstats.snapshot()
-    start = time.perf_counter()
-    unit = spec.build_unit()
-    engine = EvalEngine(
-        harness=options.harness,
-        retry=options.retry,
-        fault_boundary=options.fault_boundary,
-        admission=AdmissionPolicy(quarantine=options.quarantine,
-                                  deadline_s=options.deadline_s),
-    )
-    outcome = engine.evaluate(unit)
-    if outcome.result is not None:
-        # the worker-side serialize-once site: these bytes cross the
-        # process boundary and are checkpointed/streamed verbatim by
-        # the parent (stage time rides home in perf_delta)
-        outcome.payload = engine.canonical_payload(outcome.result)
-        outcome.result = None
-    outcome.wall_time_s = time.perf_counter() - start
-    outcome.perf_delta = perfstats.delta(perf_before, perfstats.snapshot())
+    with perfstats.scope(options.spill_root, isolated=True) as tally:
+        start = time.perf_counter()
+        unit = spec.build_unit()
+        engine = EvalEngine(
+            harness=options.harness,
+            retry=options.retry,
+            fault_boundary=options.fault_boundary,
+            admission=AdmissionPolicy(quarantine=options.quarantine,
+                                      deadline_s=options.deadline_s),
+        )
+        outcome = engine.evaluate(unit)
+        tally.fold(outcome.perf_delta)  # the attempts' own unit scope
+        if outcome.result is not None:
+            # the worker-side serialize-once site: these bytes cross the
+            # process boundary and are checkpointed/streamed verbatim by
+            # the parent (stage time rides home in perf_delta)
+            outcome.payload = engine.canonical_payload(outcome.result)
+            outcome.result = None
+        outcome.wall_time_s = time.perf_counter() - start
+    outcome.perf_delta = tally.counters()
     return outcome
 
 
@@ -406,10 +409,12 @@ class ThreadBackend:
         """Apply ``fn`` to every unit across the thread pool.
 
         Results come back in submission order; the first exception
-        propagates after the pool drains.
+        propagates after the pool drains.  Each call runs in a fresh
+        copy of the caller's context (and so in the caller's scope).
         """
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(fn, unit) for unit in units]
+            futures = [pool.submit(contextvars.copy_context().run, fn, unit)
+                       for unit in units]
             return [future.result() for future in futures]
 
     def run_units(self, pending: "Sequence[WorkUnit]",
@@ -493,11 +498,13 @@ class ProcessBackend:
                 + self.hard_deadline_grace)
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        """A pool of ``workers`` processes, forked by its first submit."""
+        """A pool of ``workers`` processes, forked by its first submit,
+        each leaving the scope it inherits."""
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=self._mp_context)
+                                   mp_context=self._mp_context,
+                                   initializer=perfstats.leave_scope)
 
     @staticmethod
     def submit(pool: ProcessPoolExecutor, fn: Callable[..., Any],
@@ -551,7 +558,7 @@ class ProcessBackend:
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        options = WorkerOptions.for_engine(driver.engine, driver.spill_dir)
+        options = WorkerOptions.for_engine(driver.engine)
         by_id = {unit.unit_id: unit for unit in pending}
         items = [(unit.unit_id, spec_for(unit)) for unit in pending]
         ensure_picklable(items, options)

@@ -1,19 +1,25 @@
-"""Process-wide cache telemetry: counters and a shared thread-safe LRU.
+"""Cache telemetry: counters, a shared thread-safe LRU, and run scopes.
 
 Every memoization layer in the perception pipeline — the raster render
 cache, the raster legibility cache, the encoder perception cache and the
-dataset cache — is built on :class:`LruCache` and exports hit/miss/
-eviction counters through the registry here.  The parallel runner folds
-:func:`snapshot` into its :class:`~repro.core.runner.RunStats` telemetry
-and ``manifest.json``, so cache effectiveness is observable in every run
-artifact rather than asserted in a benchmark once.
+dataset caches — is built on :class:`LruCache` and exports hit/miss/
+eviction counters through the registry here.
 
-Each :class:`LruCache` may additionally be backed by an on-disk,
-content-addressed :class:`SpillStore` (see :func:`enable_spill`): a
-memory miss consults the store before recomputing, and every put is
+Every count lands in a process total, which :func:`snapshot` reports
+(``/metrics``, the benchmark), and in the **run scope** open on the
+calling context: a :mod:`contextvars` value (:func:`scope`) holding
+one run's tally and spill root.  Each run opens one, the package's
+threads start in a copy of the context that starts them, and each
+unit evaluates in an isolated scope whose tally the run folds in, so a
+run's manifest, ``--cache-stats`` and ``--metrics-out`` count that run
+alone, whatever else the process runs meanwhile.
+
+A scope with a spill root backs every cache constructed with a
+``spill_codec`` by an on-disk, content-addressed :class:`SpillStore`:
+a memory miss consults the store before recomputing, and every put is
 written through, so sibling *processes* — the multiprocess execution
-backend's workers — share perception work instead of each paying the
-cold-start cost.  Spill traffic has its own ``spill_hits`` /
+backend's workers, a later run — share perception work instead of each
+paying the cold-start cost.  Spill traffic has its own ``spill_hits`` /
 ``spill_misses`` counters, reported only once the tier has been
 consulted so snapshots stay stable for spill-free runs.
 
@@ -25,6 +31,7 @@ of them.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import os
@@ -34,53 +41,71 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
-    Any, Callable, ContextManager, Dict, Hashable, Iterator, List,
-    Optional, Tuple,
+    Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple,
 )
+
+#: The counters one cache keeps.
+_COUNTERS = ("hits", "misses", "evictions", "spill_hits", "spill_misses",
+             "spill_corrupt")
+
+
+def _shaped(counts: Dict[str, int]) -> Dict[str, int]:
+    """One cache's counters in snapshot shape: hits, misses and
+    evictions always; the spill counters only once the tier has been
+    consulted, keeping snapshots byte-stable for spill-free runs."""
+    data = {"hits": counts.get("hits", 0),
+            "misses": counts.get("misses", 0),
+            "evictions": counts.get("evictions", 0)}
+    if counts.get("spill_hits") or counts.get("spill_misses"):
+        data["spill_hits"] = counts.get("spill_hits", 0)
+        data["spill_misses"] = counts.get("spill_misses", 0)
+    if counts.get("spill_corrupt"):
+        data["spill_corrupt"] = counts["spill_corrupt"]
+    return data
 
 
 class CacheStats:
-    """Thread-safe hit/miss/eviction counters for one named cache."""
+    """Thread-safe hit/miss/eviction counters for one named cache.
 
-    __slots__ = ("name", "_lock", "hits", "misses", "evictions",
-                 "spill_hits", "spill_misses", "spill_corrupt")
+    Every count adds to the process total here and to the tally of the
+    scope open on the calling context (see :func:`scope`).
+    """
+
+    __slots__ = ("name", "_lock") + _COUNTERS
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.spill_hits = 0
-        self.spill_misses = 0
-        self.spill_corrupt = 0
+        for counter in _COUNTERS:
+            setattr(self, counter, 0)
+
+    def _record(self, counter: str, count: int) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + count)
+        current = _SCOPE.get()
+        if current is not None:
+            current.count(self.name, counter, count)
 
     def record_hit(self, count: int = 1) -> None:
-        with self._lock:
-            self.hits += count
+        self._record("hits", count)
 
     def record_miss(self, count: int = 1) -> None:
-        with self._lock:
-            self.misses += count
+        self._record("misses", count)
 
     def record_eviction(self, count: int = 1) -> None:
-        with self._lock:
-            self.evictions += count
+        self._record("evictions", count)
 
     def record_spill_hit(self, count: int = 1) -> None:
         """A lookup served from the on-disk spill tier."""
-        with self._lock:
-            self.spill_hits += count
+        self._record("spill_hits", count)
 
     def record_spill_miss(self, count: int = 1) -> None:
         """A spill-tier probe that found nothing on disk."""
-        with self._lock:
-            self.spill_misses += count
+        self._record("spill_misses", count)
 
     def record_spill_corrupt(self, count: int = 1) -> None:
         """A spill entry evicted because it no longer parsed/decoded."""
-        with self._lock:
-            self.spill_corrupt += count
+        self._record("spill_corrupt", count)
 
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when untouched)."""
@@ -90,25 +115,13 @@ class CacheStats:
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
-            data = {"hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions}
-            # spill counters appear only once the tier has been consulted,
-            # keeping snapshots byte-stable for spill-free configurations.
-            if self.spill_hits or self.spill_misses:
-                data["spill_hits"] = self.spill_hits
-                data["spill_misses"] = self.spill_misses
-            if self.spill_corrupt:
-                data["spill_corrupt"] = self.spill_corrupt
-            return data
+            return _shaped({counter: getattr(self, counter)
+                            for counter in _COUNTERS})
 
     def reset(self) -> None:
         with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.spill_hits = 0
-            self.spill_misses = 0
-            self.spill_corrupt = 0
+            for counter in _COUNTERS:
+                setattr(self, counter, 0)
 
 
 #: A spill codec: ``(encode, decode)`` where ``encode(value)`` returns a
@@ -221,12 +234,12 @@ class LruCache:
     both compute, but entries are pure functions of their key, so the
     duplicate work is benign and lock hold times stay tiny.
 
-    A cache constructed with a ``spill_codec`` can be backed by a
-    :class:`SpillStore` (see :func:`enable_spill`): ``get`` consults the
-    store after a memory miss (promoting found values back into
-    memory), ``put`` writes through.  Because every entry is a pure
-    function of its key, the disk tier never changes results — it only
-    moves the compute.
+    A cache constructed with a ``spill_codec`` is backed by a
+    :class:`SpillStore` inside a scope with a spill root (see
+    :func:`scope`): ``get`` consults the store after a memory miss
+    (promoting found values back into memory), ``put`` writes through.
+    Because every entry is a pure function of its key, the disk tier
+    never changes results — it only moves the compute.
     """
 
     def __init__(self, capacity: int, name: Optional[str] = None,
@@ -237,7 +250,6 @@ class LruCache:
         self.capacity = capacity
         self.stats = stats or CacheStats(name or "anonymous")
         self.spill_codec = spill_codec
-        self._spill: Optional[SpillStore] = None
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         if name is not None:
@@ -252,24 +264,16 @@ class LruCache:
         with self._lock:
             return key in self._entries
 
-    @property
-    def spill(self) -> Optional[SpillStore]:
-        """The attached on-disk spill store, if any."""
-        return self._spill
-
-    def attach_spill(self, store: SpillStore) -> None:
-        """Back this cache with an on-disk spill tier."""
-        self._spill = store
-
-    def detach_spill(self) -> None:
-        """Remove the on-disk spill tier (entries on disk are kept)."""
-        self._spill = None
+    def _spill(self) -> Optional[SpillStore]:
+        """This cache's disk tier in the scope open on this context."""
+        current = _SCOPE.get()
+        return current.spill_store(self) if current is not None else None
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look ``key`` up, counting a hit or miss and refreshing recency.
 
-        With a spill store attached, a memory miss falls through to the
-        disk tier; a value found there counts as a hit (plus a
+        Inside a scope with a spill root, a memory miss falls through to
+        the disk tier; a value found there counts as a hit (plus a
         ``spill_hit``) and is promoted back into memory.
         """
         sentinel = _MISS
@@ -282,7 +286,7 @@ class LruCache:
         if value is not sentinel:
             self.stats.record_hit()
             return value
-        spill = self._spill
+        spill = self._spill()
         if spill is not None:
             value = spill.get(key, sentinel)
             if value is not sentinel:
@@ -323,7 +327,7 @@ class LruCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         self._store(key, value)
-        spill = self._spill
+        spill = self._spill()
         if spill is not None:
             spill.put(key, value)
 
@@ -361,6 +365,124 @@ _REGISTRY_LOCK = threading.Lock()
 _REGISTRY: Dict[str, LruCache] = {}
 
 
+# -- run scopes ---------------------------------------------------------------
+
+
+class Scope:
+    """One run's counter tally and spill root; :func:`scope` opens one.
+
+    The tally has :func:`snapshot`'s shape — ``{cache: {counter: n}}``
+    plus a :data:`STAGE_TIMINGS_NAME` entry — and holds what was counted
+    while the scope was current, plus what was folded in.  With a spill
+    root, each spill-capable cache gets one :class:`SpillStore` per
+    scope, built on first use.
+    """
+
+    def __init__(self, spill_root: "Optional[Path | str]" = None) -> None:
+        self.spill_root = str(spill_root) if spill_root is not None else None
+        self._lock = threading.Lock()
+        self._tally: Dict[str, Dict[str, int]] = {}
+        self._stores: Dict[LruCache, SpillStore] = {}
+
+    def count(self, name: str, counter: str, count: int = 1) -> None:
+        """Add ``count`` to entry ``name``'s ``counter``."""
+        with self._lock:
+            entry = self._tally.get(name)
+            if entry is None:
+                entry = self._tally[name] = {}
+            entry[counter] = entry.get(counter, 0) + count
+
+    def fold(self, counters: Dict[str, Dict[str, int]]) -> None:
+        """Add a tally counted elsewhere: a unit's, a worker process's."""
+        with self._lock:
+            merge_counters(self._tally, counters)
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        """A copy of the raw tally, in the form :meth:`fold` takes."""
+        with self._lock:
+            return {name: dict(entry) for name, entry in self._tally.items()}
+
+    def snapshot(self) -> Dict[str, Dict[str, int]]:
+        """The tally in :func:`snapshot`'s shape: every registered cache
+        with its hits, misses and evictions in this scope and its
+        current ``size``, spill counters only where this scope consulted
+        the disk tier, and the stage timers only once it timed a stage.
+        """
+        tally = self.counters()
+        stages = tally.pop(STAGE_TIMINGS_NAME, None)
+        with _REGISTRY_LOCK:
+            caches = dict(_REGISTRY)
+        data: Dict[str, Dict[str, int]] = {}
+        for name in sorted(set(caches) | set(tally)):
+            entry = _shaped(tally.get(name, {}))
+            if name in caches:
+                entry["size"] = len(caches[name])
+            data[name] = entry
+        if stages:
+            data[STAGE_TIMINGS_NAME] = stages
+        return data
+
+    def spill_store(self, cache: LruCache) -> Optional[SpillStore]:
+        """``cache``'s disk tier in this scope (``None`` without a spill
+        root, or for a cache without a codec)."""
+        if self.spill_root is None or cache.spill_codec is None:
+            return None
+        with self._lock:
+            store = self._stores.get(cache)
+            if store is None:
+                encode, decode = cache.spill_codec
+                store = self._stores[cache] = SpillStore(
+                    self.spill_root, cache.stats.name, encode, decode,
+                    stats=cache.stats)
+            return store
+
+
+_SCOPE: "contextvars.ContextVar[Optional[Scope]]" = contextvars.ContextVar(
+    "repro_perfstats_scope", default=None)
+
+
+@contextmanager
+def scope(spill_root: "Optional[Path | str]" = None, *,
+          isolated: bool = False) -> Iterator[Scope]:
+    """Open a run scope on the current context for a ``with`` block.
+
+    While it is current, every counter also counts into the new scope,
+    and spill-capable caches use ``spill_root`` as their disk tier —
+    the enclosing scope's root when none is given.  When the block
+    ends, the scope's tally folds into the enclosing scope, so a run
+    inside a sweep counts in the sweep.  An ``isolated`` scope does not
+    fold: its opener hands the tally on itself (a unit's becomes its
+    ``WorkerResult.perf_delta``).
+    """
+    enclosing = _SCOPE.get()
+    if spill_root is None and enclosing is not None:
+        spill_root = enclosing.spill_root
+    opened = Scope(spill_root)
+    token = _SCOPE.set(opened)
+    try:
+        yield opened
+    finally:
+        _SCOPE.reset(token)
+        if enclosing is not None and not isolated:
+            enclosing.fold(opened.counters())
+
+
+def current() -> Optional[Scope]:
+    """The scope open on the current context, or ``None``."""
+    return _SCOPE.get()
+
+
+def leave_scope() -> None:
+    """Leave the scope the current context inherited, for good.
+
+    Every process pool's initializer: a forked worker starts in its
+    forking thread's context, but must count only into the scopes it
+    opens, never into the parent's scope object, whose lock another
+    parent thread may have held at fork time.
+    """
+    _SCOPE.set(None)
+
+
 # -- per-stage hot-path timers ------------------------------------------------
 
 #: Registry entry name the stage timers publish under in :func:`snapshot`.
@@ -373,70 +495,37 @@ STAGE_TIMINGS_NAME = "stage_timings"
 PIPELINE_STAGES = ("build_wait", "eval", "serialize", "commit", "stream")
 
 
-class StageTimings:
-    """Thread-safe per-stage wall-clock accumulators.
-
-    Durations are integer **nanoseconds** (``{stage}_ns``) with a call
-    count (``{stage}_calls``), so a stage entry merges through
-    :func:`merge_counters` / :func:`delta` exactly like any cache
-    counter — which is what carries worker-process stage time back to
-    the parent on each :class:`~repro.core.executor.WorkerResult`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._ns: Dict[str, int] = {}
-        self._calls: Dict[str, int] = {}
-
-    def add(self, stage: str, ns: int, calls: int = 1) -> None:
-        with self._lock:
-            self._ns[stage] = self._ns.get(stage, 0) + int(ns)
-            self._calls[stage] = self._calls.get(stage, 0) + calls
-
-    @contextmanager
-    def timed(self, stage: str) -> Iterator[None]:
-        start = time.perf_counter_ns()
-        try:
-            yield
-        finally:
-            self.add(stage, time.perf_counter_ns() - start)
-
-    def snapshot(self) -> Dict[str, int]:
-        """``{stage}_ns`` + ``{stage}_calls`` for every recorded stage.
-
-        Empty until a stage has been timed, so runs that never touch
-        the pipeline keep the historical snapshot shape byte-for-byte.
-        """
-        with self._lock:
-            data: Dict[str, int] = {}
-            for name in sorted(self._ns):
-                data[f"{name}_ns"] = self._ns[name]
-                data[f"{name}_calls"] = self._calls.get(name, 0)
-            return data
-
-    def reset(self) -> None:
-        with self._lock:
-            self._ns.clear()
-            self._calls.clear()
+#: The process's stage totals: a scope never opened on any context,
+#: which :func:`record_stage` counts into beside the current scope.
+_STAGES = Scope()
 
 
-_STAGES = StageTimings()
-
-
-def stage(name: str) -> "ContextManager[None]":
+@contextmanager
+def stage(name: str) -> Iterator[None]:
     """Time one pipeline stage: ``with perfstats.stage("commit"): ...``."""
-    return _STAGES.timed(name)
+    start = time.perf_counter_ns()
+    try:
+        yield
+    finally:
+        record_stage(name, time.perf_counter_ns() - start)
 
 
 def record_stage(name: str, ns: int, calls: int = 1) -> None:
-    """Credit ``ns`` nanoseconds to ``name`` without a context manager
-    (for durations measured elsewhere, e.g. a worker's wall time)."""
-    _STAGES.add(name, ns, calls)
+    """Credit ``ns`` nanoseconds (``{name}_ns``) and ``calls`` calls
+    (``{name}_calls``) to a stage, in the process total and the current
+    scope; integer counters merge like any cache counter."""
+    for tally in (_STAGES, _SCOPE.get()):
+        if tally is not None:
+            tally.count(STAGE_TIMINGS_NAME, f"{name}_ns", int(ns))
+            tally.count(STAGE_TIMINGS_NAME, f"{name}_calls", calls)
 
 
 def stage_snapshot() -> Dict[str, int]:
-    """The stage timers alone (a view into :func:`snapshot`'s entry)."""
-    return _STAGES.snapshot()
+    """The process's stage timers alone (:func:`snapshot`'s entry):
+    ``{stage}_ns`` and ``{stage}_calls`` per timed stage, empty until a
+    stage has been timed."""
+    return dict(sorted(
+        _STAGES.counters().get(STAGE_TIMINGS_NAME, {}).items()))
 
 
 def stage_seconds(counters: Dict[str, Dict[str, int]],
@@ -500,19 +589,21 @@ def get_cache(name: str) -> Optional[LruCache]:
 
 
 def snapshot() -> Dict[str, Dict[str, int]]:
-    """Counters of every registered cache, keyed by cache name.
+    """The process totals of every registered cache, keyed by cache
+    name — what ``/metrics`` reports (a run's own counters are its
+    scope's, :meth:`Scope.snapshot`, in the same shape).
 
     When any pipeline stage has been timed, a
     :data:`STAGE_TIMINGS_NAME` entry rides along in the same shape —
     integer counters keyed by name — so stage time flows through the
-    existing ``RunStats`` → manifest → ``--cache-stats`` / ``/metrics``
-    plumbing without a parallel channel.
+    manifest, ``--cache-stats`` and ``/metrics`` without a parallel
+    channel.
     """
     with _REGISTRY_LOCK:
         caches = dict(_REGISTRY)
     data = {name: cache.snapshot()
             for name, cache in sorted(caches.items())}
-    stages = _STAGES.snapshot()
+    stages = stage_snapshot()
     if stages:
         data[STAGE_TIMINGS_NAME] = stages
     return data
@@ -547,9 +638,8 @@ def merge_counters(
     """Accumulate one snapshot-shaped delta into another, in place.
 
     Counter fields add; the ``size`` field is a level, not a counter,
-    so it takes the maximum.  Used to fold per-worker-process counter
-    movement back into a run-level view (see
-    :attr:`repro.core.runner.RunStats.perf_caches`).  Returns ``into``.
+    so it takes the maximum.  :meth:`Scope.fold` folds a unit's or a
+    worker process's tally into a run's with it.  Returns ``into``.
     """
     for name, counters in moved.items():
         entry = into.setdefault(name, {})
@@ -561,55 +651,11 @@ def merge_counters(
     return into
 
 
-_SPILL_LOCK = threading.Lock()
-_SPILL_ROOT: Optional[str] = None
-
-
-def enable_spill(root: "Path | str") -> List[str]:
-    """Attach an on-disk spill tier to every spill-capable cache.
-
-    Only caches constructed with a ``spill_codec`` participate; the
-    rest (e.g. the dataset cache, whose values are not serialisable)
-    are untouched.  Idempotent; re-enabling with a different root
-    repoints the stores.  Returns the attached cache names, sorted.
-    """
-    global _SPILL_ROOT
-    with _SPILL_LOCK:
-        with _REGISTRY_LOCK:
-            caches = dict(_REGISTRY)
-        attached = []
-        for name, cache in sorted(caches.items()):
-            if cache.spill_codec is None:
-                continue
-            encode, decode = cache.spill_codec
-            cache.attach_spill(SpillStore(root, name, encode, decode,
-                                          stats=cache.stats))
-            attached.append(name)
-        _SPILL_ROOT = str(root)
-    return attached
-
-
-def disable_spill() -> None:
-    """Detach the spill tier everywhere (on-disk entries are kept)."""
-    global _SPILL_ROOT
-    with _SPILL_LOCK:
-        with _REGISTRY_LOCK:
-            caches = list(_REGISTRY.values())
-        for cache in caches:
-            cache.detach_spill()
-        _SPILL_ROOT = None
-
-
-def spill_root() -> Optional[str]:
-    """The directory spill stores are rooted at, or ``None`` if off."""
-    with _SPILL_LOCK:
-        return _SPILL_ROOT
-
-
 def reset() -> None:
     """Empty every registered cache and zero its counters (test hook)."""
+    global _STAGES
     with _REGISTRY_LOCK:
         caches = list(_REGISTRY.values())
     for cache in caches:
         cache.reset()
-    _STAGES.reset()
+    _STAGES = Scope()

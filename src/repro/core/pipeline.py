@@ -37,14 +37,21 @@ recorded as the ``build_wait`` stage in
 to near zero while the serial loop charges the full build time there,
 which is exactly the delta ``benchmarks/bench_sweep_pipeline.py``
 measures.
+
+Builds count in, and spill through, the
+:func:`~repro.core.perfstats.scope` the prefetcher starts in; a process
+builder hands its tally back with the shard.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple,
+)
 
 from repro.core import databuild, perfstats
 from repro.core.databuild import StreamingDataset
@@ -85,23 +92,23 @@ def _warm_question_digests(built: Dict[str, Dataset]) -> None:
 
 
 def _build_shard_job(streams: Dict[str, StreamingDataset], index: int,
-                     spill_root: Optional[str]) -> Dict[str, Dataset]:
+                     spill_root: Optional[str]
+                     ) -> Tuple[Dict[str, Dataset], Dict[str, Dict[str, int]]]:
     """Worker body for process builders (top-level, picklable).
 
     The streams are plain value objects (total/seed/shard size), so the
     job pickle is tiny; the built shard travels back as the result
     pickle — a few hundred kilobytes, far cheaper for the parent to
     unpickle than to generate.  Digests warmed here ride along in each
-    question's instance state.  ``spill_root`` attaches the parent's
-    on-disk shard tier, so child builds write through to disk and later
-    runs start warm.
+    question's instance state.  The build's scope, rooted at the
+    parent's ``spill_root``, writes through to disk so later runs start
+    warm; its tally returns with the shard.
     """
-    if spill_root is not None:
-        databuild.enable_build_cache(spill_root)
-    built = {setting: stream.shard(index)
-             for setting, stream in streams.items()}
-    _warm_question_digests(built)
-    return built
+    with perfstats.scope(spill_root, isolated=True) as tally:
+        built = {setting: stream.shard(index)
+                 for setting, stream in streams.items()}
+        _warm_question_digests(built)
+    return built, tally.counters()
 
 
 class Prefetcher:
@@ -167,12 +174,14 @@ class Prefetcher:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "Prefetcher":
-        """Launch the builder pool (no-op if already started)."""
+        """Launch the builder pool (no-op if already started), each
+        builder in a copy of the calling context."""
         if self._threads:
             return self
         for worker in range(self.workers):
             thread = threading.Thread(
-                target=self._worker_loop,
+                target=contextvars.copy_context().run,
+                args=(self._worker_loop,),
                 name=f"{self.name}-{worker}", daemon=True)
             thread.start()
             self._threads.append(thread)
@@ -296,15 +305,15 @@ class ShardPrefetcher(Prefetcher):
     to a small pool from :class:`~repro.core.executor.ProcessBackend`
     (the pool threads become dispatchers blocking on futures), buying
     true build/eval parallelism for a per-sweep pool spawn plus a
-    result-unpickle per shard; each build carries ``spill_dir``, so
-    child builds write through the same on-disk shard tier.  Ordering,
-    backpressure and error delivery are identical in both modes.
+    result-unpickle per shard; each build carries the spill root of the
+    scope the prefetcher started in, so child builds write through the
+    same on-disk shard tier.  Ordering, backpressure and error delivery
+    are identical in both modes.
     """
 
     def __init__(self, streams: Mapping[str, StreamingDataset], *,
                  lookahead: int, workers: int = 1,
                  builder: str = "thread",
-                 spill_dir: Optional[Any] = None,
                  yield_to_consumer: Optional[bool] = None) -> None:
         if not streams:
             raise ValueError("no streams to prefetch")
@@ -314,7 +323,6 @@ class ShardPrefetcher(Prefetcher):
                 f"choose from {PREFETCH_BUILDERS}")
         self.streams = dict(streams)
         self.builder = builder
-        self.spill_dir = str(spill_dir) if spill_dir is not None else None
         self._pool: Optional[ProcessPoolExecutor] = None
         counts = {stream.num_shards for stream in self.streams.values()}
         if len(counts) != 1:
@@ -353,9 +361,13 @@ class ShardPrefetcher(Prefetcher):
         if self._pool is not None:
             # the dispatcher thread blocks GIL-free on the future while
             # the child process does the build CPU
-            built = ProcessBackend.submit(
+            current = perfstats.current()
+            built, moved = ProcessBackend.submit(
                 self._pool, _build_shard_job, self.streams, index,
-                self.spill_dir).result()
+                current.spill_root if current is not None else None
+            ).result()
+            if current is not None:
+                current.fold(moved)
             # mirror the process path of databuild.build_shards: re-enter
             # the returned base shard into the parent's cache (warm for
             # resume / later windows), then charge residency against the

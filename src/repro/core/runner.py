@@ -23,9 +23,10 @@ needs:
   checkpoints instead of re-evaluating, and detects truncated ones;
 * **telemetry** — :class:`RunStats` records per-unit wall time, retry
   counts, cache hits and queue depth, aggregated into the manifest
-  together with a :mod:`repro.core.perfstats` snapshot of the
-  perception-substrate caches (render / legibility / perception /
-  dataset), so cache effectiveness is visible in every run artifact;
+  together with the run's own counts of the perception-substrate
+  caches (render / legibility / perception / dataset), kept by the
+  :func:`repro.core.perfstats.scope` each run opens, so cache
+  effectiveness is visible in every run artifact;
 * **resilience** — the :mod:`repro.core.resilience` layer: a per-model
   :class:`~repro.core.resilience.CircuitBreaker` fast-fails the
   remaining units of a repeatedly-failing model, per-unit deadlines
@@ -205,13 +206,14 @@ class UnitStats:
 
 
 class RunStats:
-    """Aggregated run telemetry (thread-safe registry of unit stats)."""
+    """Aggregated run telemetry (thread-safe registry of unit stats);
+    :attr:`perf` is the :func:`~repro.core.perfstats.scope` a driver
+    runs in."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._units: Dict[str, UnitStats] = {}
-        self._perf_caches: Dict[str, Dict[str, int]] = {}
-        self._absorbed_perf: Dict[str, Dict[str, int]] = {}
+        self.perf = perfstats.Scope()
         self._coordinator: Dict[str, int] = {}
 
     def unit(self, unit_id: str) -> UnitStats:
@@ -276,46 +278,12 @@ class RunStats:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    def record_perf_caches(
-            self, counters: Dict[str, Dict[str, int]]) -> None:
-        """Attach a perception-substrate cache snapshot (see
-        :func:`repro.core.perfstats.snapshot`) to the run telemetry."""
-        with self._lock:
-            self._perf_caches = {
-                name: dict(entry) for name, entry in counters.items()
-            }
-
-    def absorb_perf_caches(
-            self, moved: Dict[str, Dict[str, int]]) -> None:
-        """Fold a worker process's counter delta into the run telemetry.
-
-        The process backend evaluates units in sibling processes whose
-        module-global cache counters the parent's :func:`perfstats.snapshot`
-        cannot see; each worker reports its movement and the run view
-        (:attr:`perf_caches`) sums local + absorbed, keeping
-        ``--cache-stats`` and the manifest truthful across backends.
-        """
-        with self._lock:
-            perfstats.merge_counters(self._absorbed_perf, moved)
-
-    @property
-    def absorbed_perf_caches(self) -> Dict[str, Dict[str, int]]:
-        """The counter movement absorbed from worker processes alone
-        (the part of :attr:`perf_caches` this process's
-        :func:`perfstats.snapshot` cannot see)."""
-        with self._lock:
-            return perfstats.merge_counters({}, self._absorbed_perf)
-
     @property
     def perf_caches(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/eviction counters of the perception-substrate caches,
-        merged across this process and any absorbed worker processes."""
-        with self._lock:
-            merged = {
-                name: dict(entry)
-                for name, entry in self._perf_caches.items()
-            }
-            return perfstats.merge_counters(merged, self._absorbed_perf)
+        """This run's hit/miss/eviction counters of the perception-
+        substrate caches and its stage timers, whichever threads or
+        worker processes evaluated its units (:attr:`perf`'s snapshot)."""
+        return self.perf.snapshot()
 
     def record_coordinator(self, counters: Dict[str, int]) -> None:
         """Attach the sweep coordinator's fleet counters (nodes lost,
@@ -464,24 +432,18 @@ class ParallelRunner:
         units = list(units)
         stats = RunStats()
         self.last_stats = stats
-        collected, pending = self.engine.prepare(units, stats)
-        self._units, self._stats, self._collected = units, stats, collected
-        self._not_started = len(pending)
-        if self.spill_dir is not None:
-            perfstats.enable_spill(self.spill_dir)
-        try:
-            if pending:
-                self.backend.run_units(pending, self)
-        finally:
-            if self._watchdog is not None:
-                self._watchdog.stop()
-                self._watchdog = None
-            if self.spill_dir is not None:
-                # scoped to the run: later spill-free runs must not
-                # keep consulting (or repopulating) the disk tier
-                perfstats.disable_spill()
-
-        return self.engine.finalize(units, stats, collected)
+        with perfstats.scope(self.spill_dir) as stats.perf:
+            collected, pending = self.engine.prepare(units, stats)
+            self._units, self._stats, self._collected = units, stats, collected
+            self._not_started = len(pending)
+            try:
+                if pending:
+                    self.backend.run_units(pending, self)
+            finally:
+                if self._watchdog is not None:
+                    self._watchdog.stop()
+                    self._watchdog = None
+            return self.engine.finalize(units, stats, collected)
 
     # -- the unit steps a backend drives -------------------------------------
 

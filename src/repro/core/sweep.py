@@ -29,8 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.core import perfstats
-from repro.core.databuild import (StreamingDataset, disable_build_cache,
-                                  enable_build_cache)
+from repro.core.databuild import StreamingDataset
 from repro.core.engine import build_driver
 from repro.core.metrics import EvalResult, MultiSampleResult
 from repro.core.runner import ParallelRunner, WorkUnit
@@ -211,10 +210,10 @@ def run_scaled_table2(
     (true build/eval parallelism on CPython — see
     :class:`~repro.core.pipeline.ShardPrefetcher`).
 
-    Returns a :class:`SweepReport`; per-window runner stats are folded
-    into :attr:`SweepReport.perf_caches` with
-    :func:`repro.core.perfstats.merge_counters` (the ``dataset_build``
-    entry shows build-cache hits/misses/spills for the whole sweep).
+    Returns a :class:`SweepReport` whose ``perf_caches`` count this
+    sweep alone, in its :func:`repro.core.perfstats.scope` rooted at
+    ``spill_dir`` (the ``dataset_build`` entry shows build-cache
+    hits/misses/spills for the whole sweep).
     """
     from repro.core.harness import EvaluationHarness
     from repro.models.vlm import NO_CHOICE, WITH_CHOICE
@@ -272,71 +271,50 @@ def run_scaled_table2(
                     setting=setting)
                 accumulators[(base, setting, s)] = result
                 multi.add_sample(result)
-    # The report counts this sweep alone: the process counters' movement
-    # from here to the end (shard builds and build waits happen between
-    # windows), plus what each window absorbed from worker processes.
-    perf_before = perfstats.snapshot()
-    absorbed: Dict[str, Dict[str, int]] = {}
-    prefetcher = None
-    if prefetch:
-        from repro.core.pipeline import ShardPrefetcher
+    with perfstats.scope(spill_dir) as tally:
+        prefetcher = None
+        if prefetch:
+            from repro.core.pipeline import ShardPrefetcher
 
-        if spill_dir is not None:
-            # builders start immediately; attach the disk tier first so
-            # the very first background builds can spill/serve warm
-            enable_build_cache(spill_dir)
-        prefetcher = ShardPrefetcher(
-            {setting: streams[setting] for setting in settings},
-            lookahead=prefetch,
-            workers=min(prefetch, 2),
-            builder=prefetch_builder,
-            spill_dir=spill_dir).start()
-    try:
-        for window_start in range(0, stream.num_shards, window_shards):
-            if spill_dir is not None:
-                # Shards are fetched in the parent, between runner.run()
-                # calls — and the runner scopes perfstats.enable_spill to
-                # each run, detaching every cache (dataset_build included)
-                # on the way out.  Re-attach before fetching so warm
-                # sweeps serve shards from the on-disk build cache.
-                enable_build_cache(spill_dir)
-            window = range(window_start,
-                           min(window_start + window_shards,
-                               stream.num_shards))
-            units: List[WorkUnit] = []
-            keys: List[tuple] = []
-            for index in window:
-                if prefetcher is not None:
-                    # in-order delivery: builders may finish out of
-                    # order, the consumer never observes it
-                    shard_by_setting = prefetcher.get(index)
-                else:
-                    with perfstats.stage("build_wait"):
-                        shard_by_setting = {
-                            setting: streams[setting].shard(index)
-                            for setting in settings
-                        }
-                for base in models:
-                    for setting in settings:
-                        for s in range(samples):
-                            units.append(WorkUnit(
-                                model=provider_names[(base, s)],
-                                dataset=shard_by_setting[setting],
-                                setting=setting))
-                            keys.append((base, setting, s))
-            outcome = runner.run(units).raise_on_failure()
-            for unit, key in zip(units, keys):
-                accumulators[key].records.extend(
-                    outcome.result_for(unit).records)
-            if runner.last_stats is not None:
-                perfstats.merge_counters(
-                    absorbed, runner.last_stats.absorbed_perf_caches)
-    finally:
-        if prefetcher is not None:
-            prefetcher.close()
-        if spill_dir is not None:
-            # scoped to the sweep, mirroring the runner's own spill scope
-            disable_build_cache()
+            prefetcher = ShardPrefetcher(
+                {setting: streams[setting] for setting in settings},
+                lookahead=prefetch,
+                workers=min(prefetch, 2),
+                builder=prefetch_builder).start()
+        try:
+            for window_start in range(0, stream.num_shards,
+                                      window_shards):
+                window = range(window_start,
+                               min(window_start + window_shards,
+                                   stream.num_shards))
+                units: List[WorkUnit] = []
+                keys: List[tuple] = []
+                for index in window:
+                    if prefetcher is not None:
+                        # in-order delivery: builders may finish out of
+                        # order, the consumer never observes it
+                        shard_by_setting = prefetcher.get(index)
+                    else:
+                        with perfstats.stage("build_wait"):
+                            shard_by_setting = {
+                                setting: streams[setting].shard(index)
+                                for setting in settings
+                            }
+                    for base in models:
+                        for setting in settings:
+                            for s in range(samples):
+                                units.append(WorkUnit(
+                                    model=provider_names[(base, s)],
+                                    dataset=shard_by_setting[setting],
+                                    setting=setting))
+                                keys.append((base, setting, s))
+                outcome = runner.run(units).raise_on_failure()
+                for unit, key in zip(units, keys):
+                    accumulators[key].records.extend(
+                        outcome.result_for(unit).records)
+        finally:
+            if prefetcher is not None:
+                prefetcher.close()
     report = SweepReport(
         dataset_name=stream.name,
         total_questions=total,
@@ -346,7 +324,6 @@ def run_scaled_table2(
         peak_resident_questions=max(
             streams[setting].peak_resident_questions
             for setting in settings),
-        perf_caches=perfstats.merge_counters(
-            perfstats.delta(perf_before, perfstats.snapshot()), absorbed),
+        perf_caches=tally.snapshot(),
     )
     return report

@@ -1,10 +1,10 @@
 """Prometheus-style text exposition of run and service telemetry.
 
-One renderer serves both surfaces named by ROADMAP item 5's
-observability headroom: ``table2 --metrics-out metrics.prom`` writes a
-batch run's counters, and the evaluation service's ``/metrics``
-endpoint exposes the queue's live counters plus this process's
-perception-substrate caches.  The format is the Prometheus text
+One renderer serves both surfaces: ``table2 --metrics-out metrics.prom``
+writes a batch run's own counters, and the evaluation service's
+``/metrics`` endpoint exposes the queue's live counters plus this
+process's perception-substrate cache totals since it started (a job's
+own counters are in its run manifest).  The format is the Prometheus text
 exposition format, version 0.0.4 — ``# HELP`` / ``# TYPE`` headers,
 one ``name{labels} value`` sample per line — which is also trivially
 greppable, so the artifact stays useful without a scrape stack.
@@ -24,7 +24,7 @@ from repro.core.perfstats import STAGE_TIMINGS_NAME
 #: Metric suffix per perf-cache counter key (``size`` is a gauge of
 #: current occupancy; everything else accumulates).
 _CACHE_COUNTERS = ("hits", "misses", "evictions", "size",
-                   "spill_hits", "spill_misses")
+                   "spill_hits", "spill_misses", "spill_corrupt")
 
 #: Unit statuses exported as ``repro_run_units{status=...}``.
 _UNIT_STATUSES = ("completed", "failed", "resumed", "fast_failed",
@@ -61,11 +61,11 @@ def render_prometheus(
 
     ``stats`` is a :class:`~repro.core.runner.RunStats` (or None):
     unit-status counts, retry/cache totals and wall time become
-    ``repro_run_*`` samples, its merged
+    ``repro_run_*`` samples, the run's own
     :attr:`~repro.core.runner.RunStats.perf_caches` become
     ``repro_cache_*{cache="..."}`` samples, and its coordinator fleet
     counters become ``repro_fleet_*``.  ``perf_caches`` overrides the
-    cache source (the service passes a live
+    cache source (the service passes the process totals,
     :func:`repro.core.perfstats.snapshot`).  ``extra`` is a flat
     mapping of service-side counters, emitted as
     ``repro_service_<key>``.

@@ -153,8 +153,7 @@ def test_shard_builds_are_order_independent(seed, order_seed):
 
 
 def test_warm_build_cache_serves_identical_shards(tmp_path):
-    databuild.enable_build_cache(tmp_path)
-    try:
+    with perfstats.scope(tmp_path):
         perfstats.reset()
         cold = databuild.build_scaled(426, 8, shard_size=142,
                                       validate=False)
@@ -166,8 +165,6 @@ def test_warm_build_cache_serves_identical_shards(tmp_path):
         warm_stats = perfstats.snapshot()[databuild.BUILD_CACHE_NAME]
         assert warm_stats["spill_hits"] == 3
         assert warm_stats["misses"] == 0
-    finally:
-        databuild.disable_build_cache()
     assert warm.content_digest() == cold.content_digest()
     # render specs round-trip through the cache codec
     for a, b in zip(cold, warm):

@@ -7,17 +7,19 @@ import pytest
 
 from repro.core.perfstats import (
     JSON_VALUE_CODEC,
+    STAGE_TIMINGS_NAME,
     CacheStats,
     LruCache,
     SpillStore,
+    current,
     delta,
-    disable_spill,
-    enable_spill,
     get_cache,
+    leave_scope,
     merge_counters,
+    record_stage,
     register,
+    scope,
     snapshot,
-    spill_root,
     total,
 )
 
@@ -209,10 +211,10 @@ class TestSpillStore:
 class TestSpillTier:
     def test_memory_miss_falls_through_and_promotes(self, tmp_path):
         cache = LruCache(capacity=4, spill_codec=JSON_VALUE_CODEC)
-        cache.attach_spill(SpillStore(tmp_path, "t", *JSON_VALUE_CODEC))
-        cache.put("a", 1)          # write-through
-        cache.clear()              # drop memory, keep disk
-        assert cache.get("a") == 1  # served from disk, promoted
+        with scope(tmp_path):
+            cache.put("a", 1)          # write-through
+            cache.clear()              # drop memory, keep disk
+            assert cache.get("a") == 1  # served from disk, promoted
         assert cache.peek("a") == 1  # now back in memory
         assert cache.stats.snapshot() == {
             "hits": 1, "misses": 0, "evictions": 0,
@@ -220,24 +222,26 @@ class TestSpillTier:
 
     def test_spill_miss_counts_once(self, tmp_path):
         cache = LruCache(capacity=4, spill_codec=JSON_VALUE_CODEC)
-        cache.attach_spill(SpillStore(tmp_path, "t", *JSON_VALUE_CODEC))
-        assert cache.get("nope") is None
+        with scope(tmp_path) as opened:
+            assert cache.get("nope") is None
         assert cache.stats.snapshot() == {
             "hits": 0, "misses": 1, "evictions": 0,
             "spill_hits": 0, "spill_misses": 1}
+        assert opened.counters() == {
+            "anonymous": {"misses": 1, "spill_misses": 1}}
 
     def test_corrupt_disk_entry_surfaces_in_snapshot(self, tmp_path):
         cache = LruCache(capacity=4, spill_codec=JSON_VALUE_CODEC)
-        store = SpillStore(tmp_path, "t", *JSON_VALUE_CODEC,
-                           stats=cache.stats)
-        cache.attach_spill(store)
-        cache.put("a", 1)
-        cache.clear()
-        store.path_for("a").write_text("not json", encoding="utf-8")
-        assert cache.get("a") is None  # quarantined, degrades to miss
+        with scope(tmp_path) as opened:
+            cache.put("a", 1)
+            cache.clear()
+            store = opened.spill_store(cache)
+            store.path_for("a").write_text("not json", encoding="utf-8")
+            assert cache.get("a") is None  # quarantined, degrades to miss
         assert cache.stats.snapshot() == {
             "hits": 0, "misses": 1, "evictions": 0,
             "spill_hits": 0, "spill_misses": 1, "spill_corrupt": 1}
+        assert opened.counters()["anonymous"]["spill_corrupt"] == 1
 
     def test_snapshot_stays_stable_without_spill_traffic(self):
         """Spill counters must not appear for spill-free configurations
@@ -248,33 +252,133 @@ class TestSpillTier:
         assert set(cache.stats.snapshot()) == {"hits", "misses",
                                                "evictions"}
 
-    def test_detach_leaves_disk_entries(self, tmp_path):
+    def test_disk_entries_outlive_the_scope(self, tmp_path):
         cache = LruCache(capacity=4, spill_codec=JSON_VALUE_CODEC)
-        store = SpillStore(tmp_path, "t", *JSON_VALUE_CODEC)
-        cache.attach_spill(store)
-        cache.put("a", 1)
-        cache.detach_spill()
+        with scope(tmp_path) as opened:
+            cache.put("a", 1)
+            store = opened.spill_store(cache)
         cache.clear()
-        assert cache.spill is None
         assert cache.get("a") is None      # memory-only lookup now
         assert store.get("a") == 1          # disk entry untouched
+        with scope(tmp_path):
+            assert cache.get("a") == 1      # a later scope finds it
 
-    def test_enable_spill_attaches_codec_capable_caches(self, tmp_path):
-        name = "test-spill-enable-probe"
-        capable = LruCache(capacity=4, name=name,
+    def test_scope_spills_only_codec_capable_caches(self, tmp_path):
+        capable = LruCache(capacity=4, stats=CacheStats("probe-capable"),
                            spill_codec=JSON_VALUE_CODEC)
-        incapable = LruCache(capacity=4, name=name + "-nocodec")
+        incapable = LruCache(capacity=4, stats=CacheStats("probe-plain"))
+        with scope(tmp_path) as opened:
+            assert opened.spill_root == str(tmp_path)
+            assert opened.spill_store(capable) is not None
+            assert opened.spill_store(capable) is opened.spill_store(
+                capable)  # one store per scope and cache
+            assert opened.spill_store(incapable) is None
+            capable.put("a", 1)
+            incapable.put("b", 2)
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "probe-capable"]
+        with scope() as spill_free:
+            assert spill_free.spill_store(capable) is None
+
+
+class TestScope:
+    def test_counts_into_the_scope_and_the_process_total(self):
+        cache = LruCache(capacity=4, stats=CacheStats("probe-scope"))
+        cache.get("a")
+        with scope() as opened:
+            assert current() is opened
+            cache.put("a", 1)
+            cache.get("a")
+            record_stage("probe-stage", 5)
+        assert current() is None
+        assert opened.counters() == {
+            "probe-scope": {"hits": 1},
+            STAGE_TIMINGS_NAME: {"probe-stage_ns": 5,
+                                 "probe-stage_calls": 1}}
+        assert cache.stats.snapshot()["misses"] == 1  # outside any scope
+
+    def test_closing_folds_into_the_enclosing_scope(self, tmp_path):
+        cache = LruCache(capacity=4, stats=CacheStats("probe-nested"))
+        with scope(tmp_path) as outer:
+            with scope() as inner:
+                assert inner.spill_root == str(tmp_path)  # inherited
+                cache.get("a")
+            with scope(isolated=True) as unit:
+                cache.get("b")
+            assert outer.counters() == {"probe-nested": {"misses": 1}}
+        assert unit.counters() == {"probe-nested": {"misses": 1}}
+
+    def test_snapshot_lists_every_registered_cache_with_its_size(self):
+        name = "test-scope-snapshot-probe"
+        cache = LruCache(capacity=4, name=name)
+        cache.put("a", 1)
+        with scope() as opened:
+            cache.get("a")
+        data = opened.snapshot()
+        assert data[name] == {"hits": 1, "misses": 0, "evictions": 0,
+                              "size": 1}
+        assert set(snapshot()) - {STAGE_TIMINGS_NAME} <= set(data)
+        assert STAGE_TIMINGS_NAME not in data  # no stage timed
+
+    def test_a_thread_sees_the_scope_only_in_a_copied_context(self):
+        import contextvars
+
+        seen = {}
+        with scope() as opened:
+            ctx = contextvars.copy_context()
+            plain = threading.Thread(
+                target=lambda: seen.update(plain=current()))
+            copied = threading.Thread(
+                target=ctx.run,
+                args=(lambda: seen.update(copied=current()),))
+            for thread in (plain, copied):
+                thread.start()
+                thread.join()
+        assert seen == {"plain": None, "copied": opened}
+
+    def test_concurrent_counts_and_folds_are_not_lost(self):
+        """Threads counting into one scope and folding unit tallies into
+        it at once lose no update."""
+        import contextvars
+        import sys
+
+        cache = LruCache(capacity=4, stats=CacheStats("probe-hammer"))
+        rounds = 1000
+
+        def work():
+            for _ in range(rounds):
+                cache.get("absent")
+                with scope(isolated=True) as unit:
+                    cache.get("absent")
+                current().fold(unit.counters())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            attached = enable_spill(tmp_path)
-            assert name in attached
-            assert name + "-nocodec" not in attached
-            assert capable.spill is not None
-            assert incapable.spill is None
-            assert spill_root() == str(tmp_path)
+            with scope() as opened:
+                threads = [threading.Thread(
+                    target=contextvars.copy_context().run, args=(work,))
+                    for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
         finally:
-            disable_spill()
-        assert capable.spill is None
-        assert spill_root() is None
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert opened.counters() == {
+            "probe-hammer": {"misses": 2 * 8 * rounds}}
+
+    def test_leave_scope_forgets_the_inherited_scope(self):
+        import contextvars
+
+        def worker():
+            leave_scope()
+            return current()
+
+        with scope():
+            assert contextvars.copy_context().run(worker) is None
+            assert current() is not None
 
 
 class TestMergeCounters:

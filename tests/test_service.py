@@ -362,6 +362,13 @@ class TestMetricsEndpoint:
         assert "repro_service_jobs_submitted 2" in first
         assert first.endswith("\n")
 
+    def test_render_exports_quarantined_spill_entries(self):
+        text = render_prometheus(perf_caches={"perception": {
+            "hits": 1, "misses": 3, "evictions": 0, "size": 1,
+            "spill_hits": 0, "spill_misses": 3, "spill_corrupt": 2}})
+        assert "# TYPE repro_cache_spill_corrupt counter" in text
+        assert 'repro_cache_spill_corrupt{cache="perception"} 2' in text
+
     def test_empty_render_is_empty(self):
         assert render_prometheus() == ""
 

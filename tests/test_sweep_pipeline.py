@@ -342,6 +342,19 @@ class TestStageTimings:
         assert perf["perception"]["misses"] == 60
         assert perf == moved
 
+    def test_process_prefetch_builds_count_in_the_sweep_report(self):
+        """Shards a prefetch builder process builds count in the sweep's
+        report, as thread-built ones do."""
+        misses = {}
+        for builder in ("thread", "process"):
+            perfstats.reset()  # cold shard cache for each builder
+            report = run_scaled_table2(["gpt-4o"], total=60, seed=1,
+                                       shard_size=20,
+                                       include_challenge=False,
+                                       prefetch=2, prefetch_builder=builder)
+            misses[builder] = report.perf_caches["dataset_build"]["misses"]
+        assert misses == {"thread": 3, "process": 3}
+
     def test_cache_stats_prints_the_stage_table(self, capsys):
         from repro.cli import _print_cache_stats
 
