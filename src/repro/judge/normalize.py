@@ -91,17 +91,33 @@ def strip_leadin(text: str) -> str:
     return stripped
 
 
+def _extends_phrase(char: str) -> bool:
+    r"""Whether ``char`` joins onto an adjacent phrase: a word character
+    or a dot.  For str patterns this is exactly the regex class
+    ``[\w.]``; the empty string (either end of the text) does not."""
+    return char.isalnum() or char in ("_", ".")
+
+
 def contains_phrase(haystack: str, phrase: str) -> bool:
-    """Whole-phrase containment with digit/dot-aware boundaries.
+    r"""Whole-phrase containment with digit/dot-aware boundaries.
 
     Plain substring search wrongly matches "5 ns" inside "2.5 ns"; here
     the phrase must not be adjacent to a word character or a dot/digit on
-    either side.
+    either side.  Every occurrence is tried, so "7 bits" is found in
+    "0.7 bits or 7 bits".  The verdict is that of the regex
+    ``(?<![\w.])<phrase>(?![\w.])``, found with ``str.find`` so that
+    no pattern is compiled per phrase.
     """
     if not phrase:
         return False
-    pattern = (r"(?<![\w.])" + re.escape(phrase) + r"(?![\w.])")
-    return re.search(pattern, haystack) is not None
+    size = len(phrase)
+    start = haystack.find(phrase)
+    while start >= 0:
+        if not (_extends_phrase(haystack[start - 1:start])
+                or _extends_phrase(haystack[start + size:start + size + 1])):
+            return True
+        start = haystack.find(phrase, start + 1)
+    return False
 
 
 def extract_option_letter(text: str) -> Optional[str]:
@@ -161,11 +177,3 @@ def _canonical_base(unit: str) -> str:
 def numbers_in(text: str) -> list:
     """All numbers appearing in the text."""
     return [float(m) for m in _NUMBER_RE.findall(text.replace(",", ""))]
-
-
-def strip_units(text: str) -> str:
-    """Remove a trailing unit annotation, keeping the numeric core."""
-    parsed = parse_number_with_unit(text)
-    if parsed is None:
-        return text.strip()
-    return repr(parsed[0])

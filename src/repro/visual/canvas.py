@@ -9,7 +9,7 @@ in conventional raster graphics.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,18 +57,6 @@ class Canvas:
         if 0 <= x < self.width and 0 <= y < self.height:
             self.pixels[y, x] = ink
 
-    def _stroke_point(self, x: int, y: int, ink: int, thickness: int) -> None:
-        if thickness <= 1:
-            self.set_pixel(x, y, ink)
-            return
-        radius = thickness // 2
-        x0 = max(0, x - radius)
-        x1 = min(self.width, x + radius + 1)
-        y0 = max(0, y - radius)
-        y1 = min(self.height, y + radius + 1)
-        if x0 < x1 and y0 < y1:
-            self.pixels[y0:y1, x0:x1] = ink
-
     def _paint_points(
         self,
         xs: np.ndarray,
@@ -76,12 +64,13 @@ class Canvas:
         ink: int,
         thickness: int = 1,
     ) -> None:
-        """Vectorized equivalent of ``_stroke_point`` over many points.
+        """Stroke every point ``(xs[i], ys[i])`` in one assignment.
 
-        Single-pixel strokes become one clipped fancy-index assignment;
-        thick strokes expand each point into its ``thickness // 2``
-        square of offsets first.  Because every point writes the same
-        ink, the unordered union is byte-identical to the scalar loop.
+        A stroke of ``thickness <= 1`` is the point itself; a thicker one
+        is the square of half-width ``thickness // 2`` centred on it,
+        clipped to the canvas as ``set_pixel`` clips.  Because every
+        point writes the same ink, the unordered union is byte-identical
+        to stroking the points one at a time.
         """
         if xs.size == 0:
             return
@@ -121,17 +110,26 @@ class Canvas:
         ink: int = BLACK,
         thickness: int = 1,
     ) -> None:
-        """Bresenham line from ``(x0, y0)`` to ``(x1, y1)``."""
+        """Bresenham line from ``(x0, y0)`` to ``(x1, y1)``, each point
+        stroked as :meth:`_paint_points` strokes it."""
+        if x0 == x1 or y0 == y1:
+            # An axis-aligned run and the squares stroked along it cover
+            # exactly one rectangle.
+            radius = thickness // 2 if thickness > 1 else 0
+            left, top = min(x0, x1) - radius, min(y0, y1) - radius
+            self.fill_rect(left, top,
+                           abs(x1 - x0) + 2 * radius + 1,
+                           abs(y1 - y0) + 2 * radius + 1, ink)
+            return
         dx = abs(x1 - x0)
         dy = -abs(y1 - y0)
         sx = 1 if x0 < x1 else -1
         sy = 1 if y0 < y1 else -1
         err = dx + dy
         x, y = x0, y0
-        while True:
-            self._stroke_point(x, y, ink, thickness)
-            if x == x1 and y == y1:
-                break
+        columns = [x]
+        rows = [y]
+        while x != x1 or y != y1:
             err2 = 2 * err
             if err2 >= dy:
                 err += dy
@@ -139,6 +137,10 @@ class Canvas:
             if err2 <= dx:
                 err += dx
                 y += sy
+            columns.append(x)
+            rows.append(y)
+        self._paint_points(np.asarray(columns), np.asarray(rows),
+                           ink, thickness)
 
     def polyline(
         self,
@@ -210,8 +212,8 @@ class Canvas:
         # is deferred to one vectorized masked assignment.
         x, y = radius, 0
         err = 1 - radius
-        columns = []
-        rows = []
+        columns: List[int] = []
+        rows: List[int] = []
         while x >= y:
             columns.extend((cx + x, cx - x, cx + x, cx - x,
                             cx + y, cx - y, cx + y, cx - y))

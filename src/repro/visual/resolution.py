@@ -69,8 +69,21 @@ INK_THRESHOLD = 128
 VISIBILITY_THRESHOLD = 230
 
 
+def _block_sums(image: np.ndarray, factor: int) -> np.ndarray:
+    """Integer sums of ``image`` over ``factor`` x ``factor`` blocks.
+
+    Rows are reduced first, so the inner loop runs along whole raster
+    rows; int64 accumulators cannot overflow for any raster size.
+    """
+    height, width = image.shape
+    rows = image.reshape(height // factor, factor, width).sum(
+        axis=1, dtype=np.int64)
+    return rows.reshape(height // factor, width // factor, factor).sum(
+        axis=2)
+
+
 def legibility_score(image: np.ndarray, factor: int) -> float:
-    """Fraction of the native image's ink that stays visible after
+    """Fraction of a ``uint8`` raster's ink that stays visible after
     ``factor`` x downsampling, in [0, 1].
 
     The image is block-averaged down and restored to native size; an ink
@@ -79,20 +92,33 @@ def legibility_score(image: np.ndarray, factor: int) -> float:
     a 1 px line inside a 16 x 16 block averages to near-invisible grey —
     which is exactly the failure mode the paper's 16x experiment hits.
     A blank image scores 1.0 by convention (nothing to lose).
+
+    Computed in integers, with no downsampled image: a block's rounded
+    mean (what :func:`downsample` stores) is below
+    ``VISIBILITY_THRESHOLD`` exactly when ``2 * sum < 459 * factor**2``,
+    because numpy rounds half to even and so keeps a mean of 229.5
+    invisible.  The score is the ink counted in visible blocks over all
+    ink.  The image is edge-padded to whole blocks as ``downsample``
+    pads it, and padded pixels count towards block sums but not as ink.
     """
     if factor == 1:
         return 1.0
-    ink_rows, ink_cols = np.nonzero(image < INK_THRESHOLD)
-    if ink_rows.size == 0:
+    ink = image < INK_THRESHOLD
+    total_ink = int(np.count_nonzero(ink))
+    if total_ink == 0:
         return 1.0
-    reduced = downsample(image, factor)
-    # Index the reduced blocks straight from the ink coordinates: the
-    # nearest-neighbour reconstruction of pixel (y, x) is exactly
-    # reduced[y // factor, x // factor], so there is no need to
-    # materialise a native-size upsampled array.
-    visible = reduced[ink_rows // factor, ink_cols // factor] \
-        < VISIBILITY_THRESHOLD
-    return float(visible.mean())
+    if factor < 1:
+        raise ValueError("downsample factor must be >= 1")
+    height, width = image.shape
+    pad_h = (-height) % factor
+    pad_w = (-width) % factor
+    if pad_h or pad_w:
+        image = np.pad(image, ((0, pad_h), (0, pad_w)), mode="edge")
+        ink = np.pad(ink, ((0, pad_h), (0, pad_w)))
+    visible = (2 * _block_sums(image, factor)
+               < (2 * VISIBILITY_THRESHOLD - 1) * factor * factor)
+    visible_ink = int(_block_sums(ink, factor)[visible].sum())
+    return visible_ink / total_ink
 
 
 def stroke_legibility(visual: VisualContent, factor: int) -> float:

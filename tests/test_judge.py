@@ -1,5 +1,7 @@
 """Tests for answer normalisation and the equivalence judge."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,43 @@ class TestNormalize:
         assert not contains_phrase("33.3 nm", "3.3 nm")
         assert not contains_phrase("0.7 bits", "7 bits")
         assert not contains_phrase("16000 nm", "1600 nm")
+        # every occurrence is tried, not only the first
+        assert contains_phrase("0.7 bits or 7 bits", "7 bits")
+        assert not contains_phrase("0.7 bits or 17 bits", "7 bits")
+
+
+def _ref_contains_phrase(haystack, phrase):
+    """The previous per-phrase regex form of ``contains_phrase`` (oracle)."""
+    if not phrase:
+        return False
+    pattern = r"(?<![\w.])" + re.escape(phrase) + r"(?![\w.])"
+    return re.search(pattern, haystack) is not None
+
+
+#: Characters on both sides of the boundary test: word characters within
+#: and beyond ASCII (é, the superscript ², the Arabic-Indic digit ٣), the
+#: underscore and the dot join onto a phrase; space, "-" and "(" do not.
+_PHRASE_CHARS = st.sampled_from("ab7 .é²٣_-(") | st.characters()
+
+
+class TestContainsPhraseOracle:
+    @given(haystack=st.text(_PHRASE_CHARS, max_size=24),
+           phrase=st.text(_PHRASE_CHARS, max_size=4))
+    def test_matches_regex_form(self, haystack, phrase):
+        assert contains_phrase(haystack, phrase) == \
+            _ref_contains_phrase(haystack, phrase)
+
+    @given(phrase=st.text(_PHRASE_CHARS, min_size=1, max_size=4),
+           joiner=st.sampled_from("a7.é²٣_"),
+           gaps=st.lists(st.text(_PHRASE_CHARS, max_size=3),
+                         min_size=3, max_size=5))
+    def test_matches_regex_form_on_repeated_phrases(self, phrase, joiner,
+                                                     gaps):
+        # The phrase occurs at least twice, and its first occurrence
+        # follows a character that fails the left boundary.
+        haystack = phrase.join([gaps[0] + joiner, *gaps[1:]])
+        assert contains_phrase(haystack, phrase) == \
+            _ref_contains_phrase(haystack, phrase)
 
 
 class TestOptionLetter:

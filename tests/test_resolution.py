@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.question import VisualContent, VisualType
 from repro.visual.canvas import Canvas
 from repro.visual.resolution import (
+    INK_THRESHOLD,
+    VISIBILITY_THRESHOLD,
     downsample,
     edge_energy,
     legibility_score,
@@ -86,6 +89,66 @@ class TestLegibilityScore:
         canvas = Canvas(256, 256)
         canvas.fill_rect(32, 32, 160, 160)
         assert legibility_score(canvas.pixels, 16) > 0.85
+
+
+def _ref_legibility(image, factor):
+    """The previous ``nonzero`` + ``downsample`` form of the kernel: each
+    ink pixel looks up its block in the rounded, downsampled image
+    (byte-level oracle for the integer block-sum kernel)."""
+    if factor == 1:
+        return 1.0
+    ink_rows, ink_cols = np.nonzero(image < INK_THRESHOLD)
+    if ink_rows.size == 0:
+        return 1.0
+    reduced = downsample(image, factor)
+    visible = reduced[ink_rows // factor, ink_cols // factor] \
+        < VISIBILITY_THRESHOLD
+    return float(visible.mean())
+
+
+@st.composite
+def _ragged_rasters(draw):
+    """A factor in 1-20 and a uint8 raster whose sides it does not divide
+    (sides of 1-3 for factor 1), in pixel values either side of the ink
+    and visibility thresholds."""
+    factor = draw(st.integers(1, 20))
+
+    def side():
+        rest = draw(st.integers(1, max(1, factor - 1)))
+        return draw(st.integers(0, 2)) * factor + rest
+
+    shape = (side(), side())
+    values = st.sampled_from([0, 127, 128, 229, 230, 255])
+    return draw(arrays(np.uint8, shape, elements=values)), factor
+
+
+class TestLegibilityKernel:
+    @given(_ragged_rasters())
+    def test_matches_downsample_reference(self, case):
+        image, factor = case
+        assert legibility_score(image, factor) == \
+            _ref_legibility(image, factor)
+
+    def test_block_mean_of_exactly_229_5_is_invisible(self):
+        # One ink pixel in each 4 x 4 block: the left block's mean is
+        # 3672 / 16 = 229.5, which rounds half to even up to 230; the
+        # right block's, 3671 / 16, rounds down to 229 and stays visible.
+        block = np.full((4, 4), 255, dtype=np.uint8)
+        block[0, 0] = 0
+        block[3, 1:] = 204
+        image = np.hstack([block, block])
+        image[3, 7] = 203
+        assert downsample(image, 4).tolist() == [[230, 229]]
+        assert legibility_score(image, 4) == 0.5
+        assert _ref_legibility(image, 4) == 0.5
+
+    def test_matches_reference_on_a_rendered_figure(self, chipvqa):
+        from repro.visual import render
+
+        image = render(chipvqa[0].visual)
+        for factor in (2, 3, 7, 8, 16):
+            assert legibility_score(image, factor) == \
+                _ref_legibility(image, factor)
 
 
 class TestStrokeLegibility:

@@ -115,12 +115,19 @@ def test_word_sequences_round_trip(words):
     assert tok.detokenize(tok.tokenize(text)) == text
 
 
-@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz ", min_size=1,
-               max_size=100))
-def test_count_is_additive_over_concatenation_bound(text):
-    # Splitting into halves can only change the count at the boundary word.
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz ", max_size=50),
+       st.text(alphabet="abcdefghijklmnopqrstuvwxyz ", max_size=50))
+def test_count_is_additive_over_concatenation_bound(left, right):
+    # No word spans a space, so splitting a text at one leaves every word,
+    # and so the count, whole.
     tok = default_tokenizer()
-    mid = len(text) // 2
-    combined = tok.count(text)
-    parts = tok.count(text[:mid]) + tok.count(text[mid:])
-    assert combined <= parts + 2
+    assert tok.count(left + " " + right) == tok.count(left) + tok.count(right)
+
+
+def test_count_is_not_additive_inside_a_word():
+    # Greedy longest-match has no bound when the split falls mid-word:
+    # "model" exists only as a word-initial piece, so "aaaamodel" is
+    # a ##a ##a ##a ##m ##o ##de ##l.
+    tok = default_tokenizer()
+    assert tok.count("aaaamodel") == 8
+    assert (tok.count("aaaa"), tok.count("model")) == (4, 1)

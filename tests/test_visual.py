@@ -119,6 +119,42 @@ def _ref_text(canvas, x, y, message, ink=BLACK, scale=1):
         cursor += (GLYPH_WIDTH + 1) * scale
 
 
+def _ref_stroke(canvas, x, y, ink, thickness):
+    """The original scalar stroke of one point: the pixel itself, or the
+    clipped square of half-width ``thickness // 2`` around it."""
+    if thickness <= 1:
+        canvas.set_pixel(x, y, ink)
+        return
+    radius = thickness // 2
+    x0 = max(0, x - radius)
+    x1 = min(canvas.width, x + radius + 1)
+    y0 = max(0, y - radius)
+    y1 = min(canvas.height, y + radius + 1)
+    if x0 < x1 and y0 < y1:
+        canvas.pixels[y0:y1, x0:x1] = ink
+
+
+def _ref_line(canvas, x0, y0, x1, y1, ink=BLACK, thickness=1):
+    """The original scalar Bresenham loop (byte-level oracle)."""
+    dx = abs(x1 - x0)
+    dy = -abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    x, y = x0, y0
+    while True:
+        _ref_stroke(canvas, x, y, ink, thickness)
+        if x == x1 and y == y1:
+            break
+        err2 = 2 * err
+        if err2 >= dy:
+            err += dy
+            x += sx
+        if err2 <= dx:
+            err += dx
+            y += sy
+
+
 def _ref_circle(canvas, cx, cy, radius, ink=BLACK, thickness=1):
     """The seed repo's scalar midpoint-circle loop (byte-level oracle)."""
     x, y = radius, 0
@@ -130,7 +166,7 @@ def _ref_circle(canvas, cx, cy, radius, ink=BLACK, thickness=1):
             (cx + y, cy + x), (cx - y, cy + x),
             (cx + y, cy - x), (cx - y, cy - x),
         ):
-            canvas._stroke_point(px, py, ink, thickness)
+            _ref_stroke(canvas, px, py, ink, thickness)
         y += 1
         if err < 0:
             err += 2 * y + 1
@@ -141,20 +177,50 @@ def _ref_circle(canvas, cx, cy, radius, ink=BLACK, thickness=1):
 
 def _ref_hatch_rect(canvas, x, y, width, height, ink=BLACK, pitch=6):
     """The seed repo's scalar ``hatch_rect`` loop (byte-level oracle)."""
-    canvas.rect(x, y, width, height, ink)
+    corners = [(x, y), (x + width, y), (x + width, y + height),
+               (x, y + height), (x, y)]
+    for (ax, ay), (bx, by) in zip(corners, corners[1:]):
+        _ref_line(canvas, ax, ay, bx, by, ink)
     for offset in range(-height, width, pitch):
         x0 = x + max(0, offset)
         y0 = y + max(0, -offset)
         length = min(width - max(0, offset), height - max(0, -offset))
         if length > 0:
-            canvas.line(x0, y0, x0 + length, y0 + length, ink)
+            _ref_line(canvas, x0, y0, x0 + length, y0 + length, ink)
 
 
 class TestVectorizedKernels:
-    """The numpy-kernel rewrites of ``text``/``circle``/``hatch_rect``
-    must stay byte-identical to the original per-pixel loops — renders
-    feed content-addressed caches and golden run digests, so a single
-    drifted pixel would silently invalidate every pinned artifact."""
+    """The numpy-kernel rewrites of ``line``/``text``/``circle``/
+    ``hatch_rect`` must stay byte-identical to the original per-pixel
+    loops — renders feed content-addressed caches and golden run
+    digests, so a single drifted pixel would silently invalidate every
+    pinned artifact."""
+
+    @given(x0=st.integers(-15, 75), y0=st.integers(-15, 60),
+           x1=st.integers(-15, 75), y1=st.integers(-15, 60),
+           thickness=st.integers(0, 5), ink=st.integers(0, 254))
+    def test_line_matches_scalar_reference(self, x0, y0, x1, y1,
+                                           thickness, ink):
+        fast, slow = Canvas(60, 45), Canvas(60, 45)
+        fast.line(x0, y0, x1, y1, ink, thickness)
+        _ref_line(slow, x0, y0, x1, y1, ink, thickness)
+        assert (fast.pixels == slow.pixels).all()
+
+    @given(fixed=st.integers(-8, 68), start=st.integers(-15, 75),
+           stop=st.integers(-15, 75), vertical=st.booleans(),
+           thickness=st.integers(0, 5), ink=st.integers(0, 254))
+    def test_axis_aligned_line_matches_scalar_reference(
+            self, fixed, start, stop, vertical, thickness, ink):
+        # Random endpoints rarely share an x or a y, and the axis-aligned
+        # runs are the ones drawn as a single rectangle.
+        if vertical:
+            ends = (fixed, start, fixed, stop)
+        else:
+            ends = (start, fixed, stop, fixed)
+        fast, slow = Canvas(60, 45), Canvas(60, 45)
+        fast.line(*ends, ink, thickness)
+        _ref_line(slow, *ends, ink, thickness)
+        assert (fast.pixels == slow.pixels).all()
 
     @given(x=st.integers(-20, 70), y=st.integers(-15, 40),
            scale=st.integers(1, 3), ink=st.integers(0, 254),
