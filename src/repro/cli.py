@@ -706,9 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "after S seconds, first success wins (tail-"
                          "latency hedging; requires --backend async)")
     p2.add_argument("--spill-dir", default=None, metavar="DIR",
-                    help="content-addressed on-disk cache tier shared "
-                         "by worker processes (and across runs); see "
-                         "docs/PERF.md")
+                    help="content-addressed on-disk tier for rendered "
+                         "figures, raster legibility scores and shard "
+                         "builds, shared by worker processes (and "
+                         "across runs); see docs/PERF.md")
     p2.add_argument("--run-dir", default=None,
                     help="checkpoint directory; an interrupted sweep "
                          "resumes from it (see docs/RUNNER.md)")

@@ -18,10 +18,12 @@ A scope with a spill root backs every cache constructed with a
 ``spill_codec`` by an on-disk, content-addressed :class:`SpillStore`:
 a memory miss consults the store before recomputing, and every put is
 written through, so sibling *processes* — the multiprocess execution
-backend's workers, a later run — share perception work instead of each
-paying the cold-start cost.  Spill traffic has its own ``spill_hits`` /
-``spill_misses`` counters, reported only once the tier has been
-consulted so snapshots stay stable for spill-free runs.
+backend's workers, a later run — share rendering, raster scoring and
+shard builds instead of each paying the cold-start cost.  Only work
+that costs more than a disk round trip declares a codec.  Spill
+traffic has its own ``spill_hits`` / ``spill_misses`` counters,
+reported only once the tier has been consulted so snapshots stay
+stable for spill-free runs.
 
 The module is deliberately stdlib-only: it sits below
 :mod:`repro.visual`, :mod:`repro.models` and :mod:`repro.core`'s

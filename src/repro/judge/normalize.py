@@ -42,8 +42,21 @@ _COMPOUND_UNITS = {
     "ms2": (1e-3, "s"),
 }
 
+#: :data:`_SI_PREFIXES` longest first, so "meg" is tried before "m";
+#: prefixes of equal length keep the table's order.
+_PREFIXES_BY_LENGTH = tuple(sorted(_SI_PREFIXES, key=len, reverse=True))
+
+#: Spellings folded onto one base unit.
+_BASE_ALIASES = {
+    "ohms": "ohm", "bits": "b", "bit": "b", "bytes": "b", "byte": "b",
+    "deg": "degrees", "cycles": "cycle",
+}
+
 _NUMBER_RE = re.compile(
     r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+#: The unit token that follows a number.
+_UNIT_RE = re.compile(r"([a-zA-Zµ%/^0-9]+)")
 
 _LETTER_PATTERNS = [
     re.compile(r"^\s*\(?([a-dA-D])\)?\s*[).:\-]?\s*$"),
@@ -143,7 +156,7 @@ def parse_number_with_unit(text: str) -> Optional[Tuple[float, str]]:
         return None
     value = float(match.group(0))
     rest = cleaned[match.end():].strip().lstrip("-").strip()
-    unit_match = re.match(r"([a-zA-Zµ%/^0-9]+)", rest)
+    unit_match = _UNIT_RE.match(rest)
     unit_raw = unit_match.group(1) if unit_match else ""
     unit = unit_raw.strip().rstrip(".,;")
     lowered = unit.lower()
@@ -157,7 +170,7 @@ def parse_number_with_unit(text: str) -> Optional[Tuple[float, str]]:
     if lowered in _BASE_UNITS:
         return value, _canonical_base(lowered)
     # try SI prefix + base unit
-    for prefix in sorted(_SI_PREFIXES, key=len, reverse=True):
+    for prefix in _PREFIXES_BY_LENGTH:
         if lowered.startswith(prefix):
             base = lowered[len(prefix):]
             if base in _BASE_UNITS and base:
@@ -167,11 +180,7 @@ def parse_number_with_unit(text: str) -> Optional[Tuple[float, str]]:
 
 
 def _canonical_base(unit: str) -> str:
-    aliases = {
-        "ohms": "ohm", "bits": "b", "bit": "b", "bytes": "b", "byte": "b",
-        "deg": "degrees", "cycles": "cycle",
-    }
-    return aliases.get(unit, unit)
+    return _BASE_ALIASES.get(unit, unit)
 
 
 def numbers_in(text: str) -> list:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.core.perfstats import JSON_VALUE_CODEC, LruCache
+from repro.core.perfstats import LruCache
 from repro.core.question import Question, VisualContent
 from repro.visual.resolution import stroke_legibility, visual_legibility
 
@@ -22,8 +22,12 @@ from repro.visual.resolution import stroke_legibility, visual_legibility
 #: configuration, figure content, factor, raster mode).  Models sharing
 #: an encoder configuration share entries, so a 12-model sweep computes
 #: each figure's perception once per distinct encoder, not 12x.
-_PERCEPTION_CACHE = LruCache(capacity=32768, name="perception",
-                             spill_codec=JSON_VALUE_CODEC)
+#: Memory only, with no spill codec: a miss is a few float operations
+#: over cached inputs (~3 us on a 2-vCPU host), while a disk entry cost
+#: ~38 us to read back and ~0.9 ms of CPU to create there.  The
+#: expensive work beneath it, the ``legibility`` and ``render`` caches
+#: of raster mode, keeps its disk tier.
+_PERCEPTION_CACHE = LruCache(capacity=32768, name="perception")
 
 #: Exponent translating mean perception loss into pass-rate loss.
 PERCEPTION_TO_RATE_GAMMA = 1.0

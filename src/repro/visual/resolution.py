@@ -100,15 +100,16 @@ def legibility_score(image: np.ndarray, factor: int) -> float:
     invisible.  The score is the ink counted in visible blocks over all
     ink.  The image is edge-padded to whole blocks as ``downsample``
     pads it, and padded pixels count towards block sums but not as ink.
+    A factor below 1 raises ``ValueError``, blank image or not.
     """
+    if factor < 1:
+        raise ValueError("downsample factor must be >= 1")
     if factor == 1:
         return 1.0
     ink = image < INK_THRESHOLD
     total_ink = int(np.count_nonzero(ink))
     if total_ink == 0:
         return 1.0
-    if factor < 1:
-        raise ValueError("downsample factor must be >= 1")
     height, width = image.shape
     pad_h = (-height) % factor
     pad_w = (-width) % factor

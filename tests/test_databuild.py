@@ -1,5 +1,7 @@
 """Tests for the sharded, cached, streaming procedural dataset builds."""
 
+import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -14,6 +16,7 @@ from repro.core.benchmark import (
     build_chipvqa_scaled,
     validate_chipvqa,
 )
+from repro.core.dataset import Dataset
 from repro.core.executor import dataset_from_spec
 from repro.core.question import CATEGORY_COUNTS, TOTAL_QUESTIONS
 
@@ -169,6 +172,75 @@ def test_warm_build_cache_serves_identical_shards(tmp_path):
     # render specs round-trip through the cache codec
     for a, b in zip(cold, warm):
         assert tuple(b.visual.render_spec) == tuple(a.visual.render_spec)
+
+
+def _ref_jsonable(value):
+    """The recursive tuple-to-list copy the shard codec made before
+    ``json.dumps`` (byte oracle)."""
+    if isinstance(value, (list, tuple)):
+        return [_ref_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _ref_jsonable(item) for key, item in value.items()}
+    return value
+
+
+def _ref_shard_bytes(questions):
+    """A shard's spill-file text as the tuple-to-list codec wrote it."""
+    payloads = []
+    for question in questions:
+        payload = question.to_dict()
+        payload["visual"]["render_spec"] = _ref_jsonable(
+            question.visual.render_spec)
+        for entry, visual in zip(payload["extra_visuals"],
+                                 question.extra_visuals):
+            entry["render_spec"] = _ref_jsonable(visual.render_spec)
+        payloads.append(payload)
+    return json.dumps(payloads, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed,shard_size,index", [
+    (0, 142, 0), (1, 142, 3), (8, 90, 3), (97, 250, 2)])
+def test_shard_spill_bytes_match_the_tuple_to_list_codec(seed, shard_size,
+                                                          index):
+    # windows: the canonical cycle, a whole variant cycle, one across a
+    # cycle boundary and a long one; three of them carry extra visuals
+    spec = databuild.ShardSpec(total=1000, seed=seed,
+                               shard_size=shard_size, index=index)
+    shard = databuild._generate_shard(spec)
+    encoded = json.dumps(databuild._encode_shard(shard), sort_keys=True)
+    assert encoded == _ref_shard_bytes(shard)
+    decoded = databuild._decode_shard(json.loads(encoded))
+    assert Dataset(decoded).content_digest() == \
+        Dataset(shard).content_digest()
+    for a, b in zip(shard, decoded):
+        assert tuple(b.visual.render_spec) == tuple(a.visual.render_spec)
+
+
+_SPEC_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=4))
+_SPEC_VALUES = st.recursive(
+    _SPEC_LEAVES,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=3), children,
+                                        max_size=3)),
+    max_leaves=12)
+
+
+@given(spec=st.lists(st.dictionaries(st.text(max_size=3), _SPEC_VALUES,
+                                     max_size=3), max_size=3),
+       extra=st.lists(_SPEC_VALUES, max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_spill_bytes_match_on_nested_tuples(spec, extra):
+    # generated scenes hold no tuple below the top level; these do
+    base = databuild.canonical_cycle()[0]
+    question = dataclasses.replace(
+        base, visual=dataclasses.replace(base.visual,
+                                         render_spec=tuple(spec)),
+        extra_visuals=(dataclasses.replace(base.visual,
+                                           render_spec=tuple(extra)),))
+    assert json.dumps(databuild._encode_shard([question]),
+                      sort_keys=True) == _ref_shard_bytes([question])
 
 
 def test_cache_keys_are_content_addressed_across_build_sizes():

@@ -41,7 +41,7 @@ from repro.core.faults import (
     PoisonedQuestions,
 )
 from repro.core.resilience import CircuitBreaker, QuarantinePolicy
-from repro.core.harness import run_table2
+from repro.core.harness import EvaluationHarness, run_table2
 from repro.core.question import Category
 from repro.core.runner import ParallelRunner, RetryPolicy, WorkUnit
 from repro.models import WITH_CHOICE, build_model, build_zoo
@@ -194,7 +194,8 @@ class TestUnitSpecs:
 class TestGoldenCrossBackend:
     """The tentpole acceptance pin: a full-zoo Table II sweep produces
     byte-identical artifacts on every backend, with and without the
-    on-disk spill tier."""
+    on-disk spill tier.  The spill runs perceive in raster mode, whose
+    render and legibility caches are the ones with a disk tier."""
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("spill", [False, True],
@@ -202,12 +203,14 @@ class TestGoldenCrossBackend:
     def test_full_zoo_digest(self, backend, spill, tmp_path):
         run_dir = tmp_path / "run"
         spill_dir = tmp_path / "spill" if spill else None
+        harness = EvaluationHarness(use_raster=spill)
         if spill:
             # cold in-memory caches, so the run actually exercises the
             # disk tier instead of hitting memory warmed by earlier tests
             perfstats.reset()
         runner = ParallelRunner(workers=4, run_dir=run_dir,
-                                backend=backend, spill_dir=spill_dir)
+                                backend=backend, spill_dir=spill_dir,
+                                harness=harness)
         results = run_table2(build_zoo(), runner=runner)
         assert len(results) == 12
         assert runner.last_stats is not None
@@ -220,22 +223,64 @@ class TestGoldenCrossBackend:
                        for entry in caches.values())
 
     def test_spill_warm_start_shares_work(self, tmp_path):
-        """A second run over a warm spill directory serves perception
-        work from disk — and still reproduces the golden digest."""
+        """A second run over a warm spill directory serves raster work
+        from disk — and still reproduces the golden digest."""
         spill_dir = tmp_path / "spill"
+        harness = EvaluationHarness(use_raster=True)
         perfstats.reset()
         first = ParallelRunner(workers=2, run_dir=tmp_path / "a",
-                               backend="process", spill_dir=spill_dir)
+                               backend="process", spill_dir=spill_dir,
+                               harness=harness)
         run_table2(["gpt-4o", "llava-7b"], runner=first)
         perfstats.reset()  # forget memory; disk is the only warm tier
         second = ParallelRunner(workers=2, run_dir=tmp_path / "b",
-                                backend="process", spill_dir=spill_dir)
+                                backend="process", spill_dir=spill_dir,
+                                harness=harness)
         run_table2(["gpt-4o", "llava-7b"], runner=second)
         assert (run_dir_digest(tmp_path / "a")
                 == run_dir_digest(tmp_path / "b"))
         caches = second.last_stats.perf_caches
         assert sum(entry.get("spill_hits", 0)
                    for entry in caches.values()) > 0
+
+
+class TestSpilledCaches:
+    """Only work that costs more than a disk round trip spills: raster
+    mode's renders and legibility scores (and shard builds), never the
+    perception scores computed from them."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_analytic_zoo_run_leaves_spill_dir_empty(self, backend,
+                                                     tmp_path):
+        spill_dir = tmp_path / "spill"
+        perfstats.reset()
+        runner = ParallelRunner(workers=4, run_dir=tmp_path / "run",
+                                backend=backend, spill_dir=spill_dir)
+        run_table2(build_zoo(), runner=runner)
+        assert run_dir_digest(tmp_path / "run") == GOLDEN_TABLE2_DIGEST
+        assert list(spill_dir.rglob("*")) == []
+        perception = runner.last_stats.perf_caches["perception"]
+        assert perception["misses"] > 0
+        assert not {"spill_hits", "spill_misses",
+                    "spill_corrupt"} & set(perception)
+
+    def test_raster_run_spills_renders_and_legibility_only(self,
+                                                           tmp_path):
+        spill_dir = tmp_path / "spill"
+        perfstats.reset()
+        runner = ParallelRunner(workers=2, backend="process",
+                                spill_dir=spill_dir,
+                                harness=EvaluationHarness(use_raster=True))
+        run_table2(["gpt-4o", "llava-7b"], runner=runner)
+        written = {path.relative_to(spill_dir).parts[0]
+                   for path in spill_dir.rglob("*.json")}
+        assert written == {"legibility", "render"}
+        assert not (spill_dir / "perception").exists()
+        caches = runner.last_stats.perf_caches
+        assert caches["perception"]["misses"] > 0
+        assert "spill_misses" not in caches["perception"]
+        assert caches["legibility"]["spill_misses"] > 0
+        assert caches["render"]["spill_misses"] > 0
 
 
 class TestLifecycleParity:

@@ -26,6 +26,7 @@ from repro.judge import (
     parse_number_with_unit,
     text_equivalent,
 )
+from repro.judge import normalize
 from repro.judge.normalize import contains_phrase, strip_leadin
 
 
@@ -127,6 +128,86 @@ class TestNumberParsing:
 
     def test_no_number_returns_none(self):
         assert parse_number_with_unit("an adder") is None
+
+
+def _ref_parse_number_with_unit(text):
+    """The previous form of ``parse_number_with_unit`` (oracle): a unit
+    pattern string per call, the prefixes sorted on each fallback and
+    the alias table built in ``_canonical_base``."""
+    def canonical_base(unit):
+        aliases = {
+            "ohms": "ohm", "bits": "b", "bit": "b", "bytes": "b",
+            "byte": "b", "deg": "degrees", "cycles": "cycle",
+        }
+        return aliases.get(unit, unit)
+
+    cleaned = text.replace(",", "")
+    match = normalize._NUMBER_RE.search(cleaned)
+    if not match:
+        return None
+    value = float(match.group(0))
+    rest = cleaned[match.end():].strip().lstrip("-").strip()
+    unit_match = re.match(r"([a-zA-Zµ%/^0-9]+)", rest)
+    unit_raw = unit_match.group(1) if unit_match else ""
+    unit = unit_raw.strip().rstrip(".,;")
+    lowered = unit.lower()
+    if not lowered:
+        return value, ""
+    if lowered in ("%", "percent"):
+        return value, "%"
+    if lowered in normalize._COMPOUND_UNITS:
+        scale, base = normalize._COMPOUND_UNITS[lowered]
+        return value * scale, base
+    if lowered in normalize._BASE_UNITS:
+        return value, canonical_base(lowered)
+    for prefix in sorted(normalize._SI_PREFIXES, key=len, reverse=True):
+        if lowered.startswith(prefix):
+            base = lowered[len(prefix):]
+            if base in normalize._BASE_UNITS and base:
+                return (value * normalize._SI_PREFIXES[prefix],
+                        canonical_base(base))
+    return value, lowered
+
+
+#: Every unit spelling in the tables, bare and behind every SI prefix,
+#: plus a few that no table knows.
+_UNIT_WORDS = sorted(set(normalize._BASE_UNITS)
+                     | set(normalize._COMPOUND_UNITS)
+                     | {"percent", "%", "ohm", "Ω", "furlongs", "x"})
+_UNIT_TOKENS = st.tuples(
+    st.sampled_from(["", *sorted(normalize._SI_PREFIXES)]),
+    st.sampled_from(_UNIT_WORDS),
+    st.sampled_from([str.lower, str.upper, str.title]),
+).map(lambda parts: parts[2](parts[0] + parts[1]))
+_NUMBER_TEXTS = (st.integers().map(str)
+                 | st.floats(allow_nan=False).map(repr)
+                 | st.sampled_from(["1,000", ".5", "-3", "+7", "2.5E-3",
+                                    "1e6", "4."]))
+
+
+class TestNumberParsingOracle:
+    @given(st.text())
+    def test_matches_previous_form_on_any_text(self, text):
+        assert parse_number_with_unit(text) == \
+            _ref_parse_number_with_unit(text)
+
+    @given(number=_NUMBER_TEXTS,
+           gap=st.sampled_from(["", " ", " - ", "-", "  "]),
+           unit=_UNIT_TOKENS,
+           tail=st.sampled_from(["", ".", ",", ";", " of delay", "/s",
+                                 "^2", "2"]))
+    def test_matches_previous_form_on_every_unit_and_prefix(
+            self, number, gap, unit, tail):
+        text = number + gap + unit + tail
+        assert parse_number_with_unit(text) == \
+            _ref_parse_number_with_unit(text)
+
+    def test_every_table_entry_parses_as_before(self):
+        for prefix in ["", *normalize._SI_PREFIXES]:
+            for word in _UNIT_WORDS:
+                text = f"4.7 {prefix}{word}"
+                assert parse_number_with_unit(text) == \
+                    _ref_parse_number_with_unit(text), text
 
 
 class TestNumericEquivalence:

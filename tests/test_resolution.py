@@ -142,6 +142,14 @@ class TestLegibilityKernel:
         assert legibility_score(image, 4) == 0.5
         assert _ref_legibility(image, 4) == 0.5
 
+    @pytest.mark.parametrize("factor", [0, -1])
+    @pytest.mark.parametrize("value", [255, 0], ids=["blank", "inked"])
+    def test_factor_below_one_rejected_with_or_without_ink(self, factor,
+                                                           value):
+        image = np.full((8, 8), value, dtype=np.uint8)
+        with pytest.raises(ValueError, match="factor must be >= 1"):
+            legibility_score(image, factor)
+
     def test_matches_reference_on_a_rendered_figure(self, chipvqa):
         from repro.visual import render
 

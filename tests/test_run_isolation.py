@@ -14,7 +14,7 @@ import time
 
 from repro.core import perfstats
 from repro.core.faults import GateBoundary
-from repro.core.harness import run_table2
+from repro.core.harness import EvaluationHarness, run_table2
 from repro.core.runner import ParallelRunner, WorkUnit, read_manifest
 from repro.models import NO_CHOICE, WITH_CHOICE
 from repro.service.jobs import JobQueue
@@ -110,12 +110,18 @@ def test_thread_backend_units_count_only_their_own_lookups(
 def test_a_spill_free_run_never_writes_into_another_runs_spill_dir(
         chipvqa, tmp_path):
     """While a run with a spill dir is held mid-unit on another thread,
-    a run without one keeps all of its cache work in memory."""
+    a run without one keeps all of its cache work in memory.
+
+    Both runs perceive in raster mode, whose render and legibility
+    caches have a disk tier; the second scores its figures at 8x, so
+    its legibility work is its own and would land in the held run's
+    spill dir if that run's scope leaked into it."""
     perfstats.reset()  # both runs start cold
     spill_dir = tmp_path / "spill"
     gate = GateBoundary(flag_path=tmp_path / "gate.flag",
                         block_on=chipvqa.questions[0].qid)
-    held = ParallelRunner(spill_dir=spill_dir, fault_boundary=gate)
+    held = ParallelRunner(spill_dir=spill_dir, fault_boundary=gate,
+                          harness=EvaluationHarness(use_raster=True))
     thread = threading.Thread(target=held.run, args=(
         [WorkUnit(model="gpt-4o", dataset=chipvqa, setting=WITH_CHOICE)],))
     thread.start()
@@ -128,8 +134,10 @@ def test_a_spill_free_run_never_writes_into_another_runs_spill_dir(
         assert before  # the held run spilled its own work
         outcome = ParallelRunner().run(
             [WorkUnit(model="llava-7b", dataset=chipvqa,
-                      setting=WITH_CHOICE)])
+                      setting=WITH_CHOICE, resolution_factor=8,
+                      use_raster=True)])
         assert outcome.stats.perf_caches["perception"]["misses"] > 0
+        assert outcome.stats.perf_caches["legibility"]["misses"] > 0
         assert sorted(spill_dir.rglob("*.json")) == before
     finally:
         gate.release()
