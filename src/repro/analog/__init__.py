@@ -6,7 +6,6 @@ from repro.analog import (
     dataconv,
     feedback,
     netlist,
-    noise,
     smallsignal,
     transfer,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "dataconv",
     "feedback",
     "netlist",
-    "noise",
     "smallsignal",
     "transfer",
     "generate_analog_questions",

@@ -7,8 +7,6 @@ quantisation SNR — plus small behavioural models usable in examples.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 
@@ -24,16 +22,6 @@ def flash_comparator_count(bits: int) -> int:
     if bits < 1:
         raise ValueError("bits must be >= 1")
     return 2 ** bits - 1
-
-
-def flash_encode(v_in: float, v_ref: float, bits: int) -> int:
-    """Thermometer-to-binary output of an ideal flash ADC."""
-    if v_ref <= 0:
-        raise ValueError("v_ref must be positive")
-    levels = flash_comparator_count(bits)
-    lsb = v_ref / (2 ** bits)
-    code = sum(1 for k in range(1, levels + 1) if v_in >= k * lsb)
-    return code
 
 
 def sar_conversion_steps(v_in: float, v_ref: float,
@@ -54,15 +42,6 @@ def sar_conversion_steps(v_in: float, v_ref: float,
             code = trial
         steps.append((bit, dac, keep))
     return steps
-
-
-def sar_code(v_in: float, v_ref: float, bits: int) -> int:
-    """Final SAR output code."""
-    code = 0
-    for bit, _, keep in sar_conversion_steps(v_in, v_ref, bits):
-        if keep:
-            code |= 1 << bit
-    return code
 
 
 def sar_cycles(bits: int) -> int:
@@ -100,24 +79,6 @@ def ideal_sqnr_db(bits: int) -> float:
     return 6.02 * bits + 1.76
 
 
-def enob_from_sndr(sndr_db: float) -> float:
-    """Effective number of bits from a measured SNDR."""
-    return (sndr_db - 1.76) / 6.02
-
-
-@dataclass(frozen=True)
-class R2RLadder:
-    """An R-2R DAC: output = v_ref * code / 2^bits."""
-
-    bits: int
-    v_ref: float
-
-    def output(self, code: int) -> float:
-        if not 0 <= code < 2 ** self.bits:
-            raise ValueError("code out of range")
-        return self.v_ref * code / (2 ** self.bits)
-
-
 def dnl_from_levels(levels: Sequence[float]) -> List[float]:
     """Differential nonlinearity (in LSB) from measured transition levels."""
     if len(levels) < 3:
@@ -127,10 +88,3 @@ def dnl_from_levels(levels: Sequence[float]) -> List[float]:
     if ideal <= 0:
         raise ValueError("levels must be increasing")
     return [step / ideal - 1.0 for step in steps]
-
-
-def nyquist_rate(signal_bandwidth_hz: float) -> float:
-    """Minimum sampling rate for alias-free capture."""
-    if signal_bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    return 2.0 * signal_bandwidth_hz

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.analog.netlist import Circuit, parallel
 
@@ -46,14 +46,6 @@ class OperatingPoint:
         return self.gm * self.ro
 
 
-def saturation_current(params: MosParams, v_gs: float, v_ds: float = 1.0) -> float:
-    """Drain current in saturation (0 below threshold)."""
-    v_ov = v_gs - params.v_th
-    if v_ov <= 0:
-        return 0.0
-    return 0.5 * params.k * v_ov ** 2 * (1.0 + params.lam * v_ds)
-
-
 def in_saturation(params: MosParams, v_gs: float, v_ds: float) -> bool:
     """Saturation check: v_ds >= v_gs - v_th > 0."""
     v_ov = v_gs - params.v_th
@@ -69,14 +61,6 @@ def bias_from_current(params: MosParams, i_d: float) -> OperatingPoint:
     ro = float("inf") if params.lam == 0 else 1.0 / (params.lam * i_d)
     return OperatingPoint(i_d=i_d, v_gs=v_ov + params.v_th, v_ov=v_ov,
                           gm=gm, ro=ro)
-
-
-def bias_from_vgs(params: MosParams, v_gs: float) -> OperatingPoint:
-    """Operating point given the gate-source voltage (saturation assumed)."""
-    i_d = saturation_current(params, v_gs)
-    if i_d <= 0:
-        raise ValueError("device is off at this v_gs")
-    return bias_from_current(params, i_d)
 
 
 # -- single-stage gain formulas --------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -173,18 +173,3 @@ def rc_lowpass_corner_hz(r_ohms: float, c_farads: float) -> float:
 def gbw_from_dc_gain(dc_gain: float, pole_hz: float) -> float:
     """Gain-bandwidth product of a single-pole amplifier, in Hz."""
     return dc_gain * pole_hz
-
-
-def single_pole_phase_margin(dc_gain: float, pole_w: float,
-                             second_pole_w: Optional[float] = None) -> float:
-    """Phase margin of a one- or two-pole open loop with unity feedback."""
-    poles = [pole_w] if second_pole_w is None else [pole_w, second_pole_w]
-    tf = TransferFunction.from_poles_zeros(dc_gain, poles)
-    return tf.phase_margin_deg()
-
-
-def decade_ratio(w1: float, w2: float) -> float:
-    """How many decades separate two frequencies."""
-    if w1 <= 0 or w2 <= 0:
-        raise ValueError("frequencies must be positive")
-    return abs(math.log10(w2 / w1))

@@ -1,4 +1,4 @@
-"""Branch predictors: static, 1-bit, 2-bit saturating, and gshare.
+"""Branch prediction: a 2-bit saturating-counter predictor.
 
 Predictors consume a sequence of branch outcomes (optionally with PCs) and
 report accuracy — the quantity exam questions about loop branches and
@@ -7,35 +7,7 @@ predictor warm-up ask for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-
-class StaticPredictor:
-    """Always predicts one direction."""
-
-    def __init__(self, predict_taken: bool = True):
-        self.predict_taken = predict_taken
-
-    def predict(self, pc: int = 0) -> bool:
-        return self.predict_taken
-
-    def update(self, pc: int, taken: bool) -> None:  # noqa: ARG002
-        return None
-
-
-class OneBitPredictor:
-    """Last-outcome predictor, per PC entry."""
-
-    def __init__(self, initial_taken: bool = False):
-        self._table: Dict[int, bool] = {}
-        self._initial = initial_taken
-
-    def predict(self, pc: int = 0) -> bool:
-        return self._table.get(pc, self._initial)
-
-    def update(self, pc: int, taken: bool) -> None:
-        self._table[pc] = taken
 
 
 class TwoBitPredictor:
@@ -61,32 +33,6 @@ class TwoBitPredictor:
         value = self.counter(pc)
         value = min(3, value + 1) if taken else max(0, value - 1)
         self._table[pc] = value
-
-
-class GsharePredictor:
-    """Global-history predictor: PC xor GHR indexes a 2-bit counter table."""
-
-    def __init__(self, history_bits: int = 4, initial: int = 1):
-        if history_bits < 1:
-            raise ValueError("need at least one history bit")
-        self.history_bits = history_bits
-        self._mask = (1 << history_bits) - 1
-        self._ghr = 0
-        self._table: Dict[int, int] = {}
-        self._initial = initial
-
-    def _index(self, pc: int) -> int:
-        return (pc ^ self._ghr) & self._mask
-
-    def predict(self, pc: int = 0) -> bool:
-        return self._table.get(self._index(pc), self._initial) >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
-        index = self._index(pc)
-        value = self._table.get(index, self._initial)
-        value = min(3, value + 1) if taken else max(0, value - 1)
-        self._table[index] = value
-        self._ghr = ((self._ghr << 1) | int(taken)) & self._mask
 
 
 def run_predictor(predictor, outcomes: Sequence[bool],

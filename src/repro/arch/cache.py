@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def _log2_exact(value: int, what: str) -> int:
@@ -131,40 +131,3 @@ def amat(hit_time: float, miss_rate: float, miss_penalty: float) -> float:
     if hit_time < 0 or miss_penalty < 0:
         raise ValueError("times must be non-negative")
     return hit_time + miss_rate * miss_penalty
-
-
-def amat_two_level(l1_hit: float, l1_miss_rate: float, l2_hit: float,
-                   l2_miss_rate: float, memory_time: float) -> float:
-    """AMAT of a two-level hierarchy (local miss rates)."""
-    l2_amat = amat(l2_hit, l2_miss_rate, memory_time)
-    return amat(l1_hit, l1_miss_rate, l2_amat)
-
-
-def classify_misses(geometry: CacheGeometry,
-                    addresses: Sequence[int]) -> Dict[str, int]:
-    """Three-C classification: compulsory / capacity / conflict.
-
-    Compulsory = first touch of the block.  Conflict = misses in the real
-    cache that a fully associative LRU cache of the same capacity would
-    have hit.  The remainder are capacity misses.
-    """
-    real = Cache(geometry)
-    fully = Cache(CacheGeometry(
-        geometry.capacity_bytes, geometry.block_bytes,
-        geometry.num_blocks, geometry.address_bits))
-    seen: set = set()
-    counts = {"compulsory": 0, "capacity": 0, "conflict": 0}
-    for address in addresses:
-        block = address // geometry.block_bytes
-        hit = real.access(address)
-        fa_hit = fully.access(address)
-        if hit:
-            continue
-        if block not in seen:
-            counts["compulsory"] += 1
-        elif fa_hit:
-            counts["conflict"] += 1
-        else:
-            counts["capacity"] += 1
-        seen.add(block)
-    return counts

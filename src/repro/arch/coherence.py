@@ -9,8 +9,8 @@ writebacks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 
 class State(enum.Enum):
@@ -124,10 +124,3 @@ class MesiSystem:
             self.access(access)
             trace.append(tuple(self.states))
         return trace
-
-
-def invalidations_for(accesses: Sequence[Access], n_cpus: int) -> int:
-    """Number of invalidation-causing bus transactions in a trace."""
-    system = MesiSystem(n_cpus)
-    system.run(accesses)
-    return sum(1 for e in system.events if e.kind in ("BusRdX", "BusUpgr"))

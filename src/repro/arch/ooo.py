@@ -1,14 +1,13 @@
-"""Out-of-order execution: hazard classification and a scoreboard model.
+"""Out-of-order execution: hazard classification.
 
-Covers the OoO exam staples: naming RAW/WAR/WAW hazards in a code fragment,
-and a simple scoreboard-style issue model that shows how register renaming
-removes false dependences.
+Covers the OoO exam staple of naming the RAW/WAR/WAW hazards in a code
+fragment; WAR and WAW are the false dependences register renaming removes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 from repro.arch.pipeline import Instr
 
@@ -48,66 +47,3 @@ def hazard_counts(trace: Sequence[Instr]) -> Dict[str, int]:
     for hazard in classify_hazards(trace):
         counts[hazard.kind] += 1
     return counts
-
-
-def false_hazards_removed_by_renaming(trace: Sequence[Instr]) -> int:
-    """WAR + WAW count — the hazards register renaming eliminates."""
-    counts = hazard_counts(trace)
-    return counts["WAR"] + counts["WAW"]
-
-
-@dataclass
-class _InFlight:
-    index: int
-    finish: int
-    dst: Optional[str]
-
-
-class Scoreboard:
-    """Simplified scoreboard: in-order issue, out-of-order completion.
-
-    Each op takes ``latency[op.label]`` cycles in its unit (default 1).
-    Issue stalls on RAW (source pending) and on WAW (destination pending);
-    with ``renaming=True`` WAW never stalls (infinite physical registers).
-    """
-
-    def __init__(self, latencies: Optional[Dict[str, int]] = None,
-                 renaming: bool = False):
-        self.latencies = dict(latencies or {})
-        self.renaming = renaming
-
-    def run(self, trace: Sequence[Instr]) -> List[Tuple[int, int]]:
-        """Returns (issue cycle, completion cycle) per instruction."""
-        schedule: List[Tuple[int, int]] = []
-        pending: List[_InFlight] = []
-        cycle = 0
-        for index, instr in enumerate(trace):
-            cycle += 1
-            while True:
-                ready_cycle = cycle
-                for flight in pending:
-                    if flight.dst and flight.dst in instr.srcs:
-                        ready_cycle = max(ready_cycle, flight.finish + 1)
-                    if (not self.renaming and instr.dst is not None
-                            and flight.dst == instr.dst):
-                        ready_cycle = max(ready_cycle, flight.finish + 1)
-                if ready_cycle == cycle:
-                    break
-                cycle = ready_cycle
-            latency = self.latencies.get(instr.label, 1)
-            finish = cycle + latency - 1
-            pending = [f for f in pending if f.finish >= cycle]
-            pending.append(_InFlight(index, finish, instr.dst))
-            schedule.append((cycle, finish))
-        return schedule
-
-    def total_cycles(self, trace: Sequence[Instr]) -> int:
-        schedule = self.run(trace)
-        return max(finish for _, finish in schedule)
-
-
-def rob_entries_needed(issue_width: int, pipeline_depth: int) -> int:
-    """Little's-law sizing: in-flight instructions = width x depth."""
-    if issue_width < 1 or pipeline_depth < 1:
-        raise ValueError("width and depth must be positive")
-    return issue_width * pipeline_depth

@@ -12,8 +12,8 @@ bolded bypass path from the load unit to the ALU affect CPI and frequency?"
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 STAGES = ("IF", "ID", "EX", "MEM", "WB")
 
@@ -180,40 +180,9 @@ def load_use_stall_cycles(bypass: BypassConfig) -> int:
     return result.issue_cycle[1] - result.issue_cycle[0] - 1
 
 
-def frequency_after_bypass(base_freq_mhz: float,
-                           bypass_delay_fraction: float) -> float:
-    """Clock frequency after adding a bypass mux to the critical path.
-
-    A forwarding path adds mux delay to the EX stage; if it lengthens the
-    critical path by ``bypass_delay_fraction`` (e.g. 0.1 for 10%), the
-    maximum frequency scales down by 1 / (1 + fraction).
-    """
-    if bypass_delay_fraction < 0:
-        raise ValueError("delay fraction must be non-negative")
-    return base_freq_mhz / (1.0 + bypass_delay_fraction)
-
-
 def speedup(cpi_before: float, cpi_after: float,
             freq_before: float = 1.0, freq_after: float = 1.0) -> float:
     """Iron-law speedup: (CPI_b / CPI_a) * (f_a / f_b) for a fixed program."""
     if min(cpi_before, cpi_after, freq_before, freq_after) <= 0:
         raise ValueError("all quantities must be positive")
     return (cpi_before / cpi_after) * (freq_after / freq_before)
-
-
-def pipeline_speedup_ideal(n_stages: int) -> float:
-    """Ideal speedup of an n-stage pipeline over single-cycle: n."""
-    if n_stages < 1:
-        raise ValueError("need at least one stage")
-    return float(n_stages)
-
-
-def critical_path_frequency_mhz(stage_delays_ns: Sequence[float],
-                                latch_overhead_ns: float = 0.0) -> float:
-    """Maximum clock frequency set by the slowest stage."""
-    if not stage_delays_ns:
-        raise ValueError("no stages")
-    slowest = max(stage_delays_ns)
-    if slowest + latch_overhead_ns <= 0:
-        raise ValueError("non-positive cycle time")
-    return 1000.0 / (slowest + latch_overhead_ns)

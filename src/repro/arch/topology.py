@@ -235,11 +235,6 @@ def torus_diameter(rows: int, cols: int) -> int:
     return rows // 2 + cols // 2
 
 
-def hypercube_diameter(dimension: int) -> int:
-    """Closed form: the dimension itself."""
-    return dimension
-
-
 def compare_topologies(n: int) -> Dict[str, Dict[str, float]]:
     """Metric table for the standard topologies at ``n`` nodes (n = k^2 =
     2^d for mesh/hypercube comparability)."""
@@ -260,16 +255,3 @@ def compare_topologies(n: int) -> Dict[str, Dict[str, float]]:
             "avg_hops": round(average_hops(graph), 3),
         }
     return table
-
-
-def dor_route(src: Tuple[int, int], dst: Tuple[int, int]) -> list:
-    """Dimension-order (XY) route in a mesh; returns the hop list."""
-    path = [src]
-    x, y = src
-    while x != dst[0]:
-        x += 1 if dst[0] > x else -1
-        path.append((x, y))
-    while y != dst[1]:
-        y += 1 if dst[1] > y else -1
-        path.append((x, y))
-    return path

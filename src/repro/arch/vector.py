@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,6 @@ def chimes(ops: Sequence[VectorOp], allow_chaining: bool = True) -> int:
     return convoys
 
 
-def vector_execution_cycles(n_elements: int, n_chimes: int,
-                            startup: int = 0) -> int:
-    """Cycles = chimes * n + startup (one lane, unit initiation rate)."""
-    if n_elements < 1 or n_chimes < 1:
-        raise ValueError("elements and chimes must be positive")
-    return n_chimes * n_elements + startup
-
-
 def strip_mine_iterations(n: int, mvl: int) -> int:
     """Loop iterations to process ``n`` elements with max vector length."""
     if n < 0 or mvl < 1:
@@ -64,22 +56,6 @@ def amdahl_speedup(parallel_fraction: float, speedup_factor: float) -> float:
     if speedup_factor <= 0:
         raise ValueError("speedup factor must be positive")
     return 1.0 / ((1 - parallel_fraction) + parallel_fraction / speedup_factor)
-
-
-def lanes_speedup(n_elements: int, n_lanes: int, n_chimes: int) -> float:
-    """Speedup from multiple lanes: elements drain n_lanes per cycle."""
-    if n_lanes < 1:
-        raise ValueError("need at least one lane")
-    single = vector_execution_cycles(n_elements, n_chimes)
-    multi = n_chimes * math.ceil(n_elements / n_lanes)
-    return single / multi
-
-
-def arithmetic_intensity(flops: float, bytes_moved: float) -> float:
-    """FLOPs per byte — roofline model x-axis."""
-    if bytes_moved <= 0:
-        raise ValueError("bytes must be positive")
-    return flops / bytes_moved
 
 
 def roofline_gflops(peak_gflops: float, bandwidth_gbs: float,

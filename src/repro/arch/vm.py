@@ -1,10 +1,10 @@
-"""Virtual memory: multi-level page-table walks and a TLB model."""
+"""Virtual memory: multi-level page-table geometry and size, and the
+effective access time of a TLB-fronted page walk."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -63,90 +63,6 @@ class VmGeometry:
 
     def offset(self, vaddr: int) -> int:
         return vaddr & (self.page_bytes - 1)
-
-
-class PageTable:
-    """A radix page table mapping VPN -> PPN, walked level by level."""
-
-    def __init__(self, geometry: VmGeometry):
-        self.geometry = geometry
-        self._map: Dict[int, int] = {}
-
-    def map(self, vaddr: int, paddr: int) -> None:
-        """Install a mapping for the pages containing the addresses."""
-        vpn = vaddr >> self.geometry.offset_bits
-        ppn = paddr >> self.geometry.offset_bits
-        self._map[vpn] = ppn
-
-    def translate(self, vaddr: int) -> int:
-        """Translate or raise ``KeyError`` (page fault)."""
-        vpn = vaddr >> self.geometry.offset_bits
-        if vpn not in self._map:
-            raise KeyError(f"page fault at {vaddr:#x}")
-        return (self._map[vpn] << self.geometry.offset_bits) \
-            | self.geometry.offset(vaddr)
-
-    def walk_accesses(self) -> int:
-        """Memory accesses per walk: one per level."""
-        return self.geometry.levels
-
-
-class Tlb:
-    """Fully associative LRU TLB."""
-
-    def __init__(self, entries: int):
-        if entries < 1:
-            raise ValueError("need at least one entry")
-        self.entries = entries
-        self._lines: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, vpn: int) -> Optional[int]:
-        if vpn in self._lines:
-            self.hits += 1
-            self._lines.move_to_end(vpn)
-            return self._lines[vpn]
-        self.misses += 1
-        return None
-
-    def fill(self, vpn: int, ppn: int) -> None:
-        if len(self._lines) >= self.entries and vpn not in self._lines:
-            self._lines.popitem(last=False)
-        self._lines[vpn] = ppn
-        self._lines.move_to_end(vpn)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if not total:
-            raise ValueError("no lookups yet")
-        return self.hits / total
-
-
-class Mmu:
-    """TLB + page table front end returning access latencies."""
-
-    def __init__(self, table: PageTable, tlb: Tlb,
-                 tlb_time: float = 1.0, memory_time: float = 100.0):
-        self.table = table
-        self.tlb = tlb
-        self.tlb_time = tlb_time
-        self.memory_time = memory_time
-
-    def access(self, vaddr: int) -> Tuple[int, float]:
-        """(physical address, latency) of one access; walks on TLB miss."""
-        geometry = self.table.geometry
-        vpn = vaddr >> geometry.offset_bits
-        ppn = self.tlb.lookup(vpn)
-        latency = self.tlb_time
-        if ppn is None:
-            paddr = self.table.translate(vaddr)  # may raise (fault)
-            latency += geometry.levels * self.memory_time
-            self.tlb.fill(vpn, paddr >> geometry.offset_bits)
-        else:
-            paddr = (ppn << geometry.offset_bits) | geometry.offset(vaddr)
-        return paddr, latency + self.memory_time  # final data access
 
 
 def page_table_size_bytes(geometry: VmGeometry,

@@ -174,7 +174,7 @@ _TABLE2_PATHS: Dict[str, Tuple[str, ...]] = {
     "rate_limit": ("local", "scaled"),
     "hedge_after": ("local", "scaled"),
     "breaker_cooldown": ("local", "scaled"),
-    "spill_dir": ("local", "scaled"),
+    "spill_dir": ("scaled",),
     "run_dir": ("local", "scaled"),
     "no_resume": ("local", "scaled"),
     "cache_stats": ("local", "scaled"),
@@ -706,10 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "after S seconds, first success wins (tail-"
                          "latency hedging; requires --backend async)")
     p2.add_argument("--spill-dir", default=None, metavar="DIR",
-                    help="content-addressed on-disk tier for rendered "
-                         "figures, raster legibility scores and shard "
-                         "builds, shared by worker processes (and "
-                         "across runs); see docs/PERF.md")
+                    help="content-addressed on-disk tier for the scaled "
+                         "path's shard builds, shared by worker "
+                         "processes (and across runs); see docs/PERF.md")
     p2.add_argument("--run-dir", default=None,
                     help="checkpoint directory; an interrupted sweep "
                          "resumes from it (see docs/RUNNER.md)")

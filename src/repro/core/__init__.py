@@ -17,7 +17,7 @@ from repro.core.faults import (
     TransientModelError,
 )
 from repro.core.harness import EvaluationHarness, run_table2
-from repro.core.metrics import EvalRecord, EvalResult, bootstrap_ci
+from repro.core.metrics import EvalRecord, EvalResult
 from repro.core.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -43,7 +43,7 @@ from repro.core.question import (
     VisualContent,
     VisualType,
 )
-from repro.core.transforms import to_short_answer, with_resolution_factor
+from repro.core.transforms import to_short_answer
 
 __all__ = [
     "AnswerKind",
@@ -82,11 +82,9 @@ __all__ = [
     "TokenStats",
     "VisualContent",
     "VisualType",
-    "bootstrap_ci",
     "build_chipvqa",
     "build_chipvqa_challenge",
     "run_table2",
     "to_short_answer",
     "validate_chipvqa",
-    "with_resolution_factor",
 ]

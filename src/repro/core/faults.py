@@ -31,7 +31,7 @@ import threading
 import time
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, Mapping, Sequence, Tuple,
 )
 
 

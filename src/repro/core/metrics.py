@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -221,25 +220,6 @@ class MultiSampleResult:
             "consensus_at_k": {
                 str(k): self.consensus_at_k(k) for k in usable},
         }
-
-
-def bootstrap_ci(flags: Sequence[bool], confidence: float = 0.95,
-                 resamples: int = 2000, seed: int = 7) -> Tuple[float, float]:
-    """Bootstrap confidence interval of a pass rate."""
-    if not flags:
-        raise ValueError("no observations")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    rng = random.Random(seed)
-    n = len(flags)
-    rates = sorted(
-        sum(rng.choice(flags) for _ in range(n)) / n
-        for _ in range(resamples)
-    )
-    alpha = (1.0 - confidence) / 2.0
-    low_index = int(alpha * resamples)
-    high_index = min(resamples - 1, int((1.0 - alpha) * resamples))
-    return rates[low_index], rates[high_index]
 
 
 def mc_sa_gap(with_choice: EvalResult, no_choice: EvalResult) -> float:

@@ -98,30 +98,6 @@ def render_resolution_study(results: Mapping[int, EvalResult],
         title="Resolution study (Section IV-B)")
 
 
-def render_leaderboard(results: Mapping[str, EvalResult],
-                       significance: bool = True) -> str:
-    """A ranked leaderboard with significance separators.
-
-    Adjacent models are compared with McNemar's exact test; a ``---``
-    separator marks a statistically significant gap (p < 0.05), so ties
-    within a bracket should not be over-interpreted.
-    """
-    from repro.core.significance import compare, rank_models
-
-    ranking = rank_models(dict(results))
-    rows: List[List[str]] = []
-    for index, (name, score) in enumerate(ranking):
-        rows.append([str(index + 1), name, f"{score:.2f}"])
-        if significance and index + 1 < len(ranking):
-            nxt = ranking[index + 1][0]
-            comparison = compare(results[name], results[nxt])
-            if comparison.significant:
-                rows.append(["", "~~~ significant gap ~~~", ""])
-    return _format_table(
-        ["Rank", "Model", "Pass@1"], rows,
-        title="Leaderboard (~~~ marks p < 0.05 gaps)")
-
-
 def render_composition(dataset: Dataset) -> str:
     """Fig. 1-style composition summary: disciplines x difficulty."""
     rows: List[List[str]] = []

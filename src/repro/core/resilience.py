@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.faults import ModelCallError
 from repro.core.metrics import EvalRecord
@@ -509,8 +509,3 @@ def quarantined_record(question: Question) -> EvalRecord:
         judge_method=QUARANTINED_METHOD,
         perception=0.0,
     )
-
-
-def count_quarantined(records: Iterable[EvalRecord]) -> int:
-    """How many records in ``records`` are quarantine markers."""
-    return sum(1 for r in records if r.judge_method == QUARANTINED_METHOD)

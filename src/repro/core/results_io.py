@@ -187,21 +187,9 @@ def load(path: "Path | str") -> EvalResult:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
-def save_run(results: Dict[str, Dict[str, EvalResult]],
-             out_dir: "Path | str") -> List[Path]:
-    """Persist a full run_table2-style result tree, one file per cell."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for model_name, settings in results.items():
-        for setting, result in settings.items():
-            written.append(
-                save(result, out_dir / f"{model_name}__{setting}.jsonl"))
-    return written
-
-
 def load_run(out_dir: "Path | str") -> Dict[str, Dict[str, EvalResult]]:
-    """Inverse of :func:`save_run` over a directory of result files.
+    """Read a directory of result files, one :func:`save`-d
+    ``<model>__<setting>.jsonl`` per cell, back into a run tree.
 
     The stem is split on the *last* ``__`` (settings never contain
     ``__``; model names may), so ``llava__next__no_choice.jsonl`` maps

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.metrics import EvalResult
 
@@ -116,12 +116,4 @@ def compare(a: EvalResult, b: EvalResult) -> PairedComparison:
         diff=(sum(flags_a) - sum(flags_b)) / len(flags_a),
         ci_low=ci_low,
         ci_high=ci_high,
-    )
-
-
-def rank_models(results: Dict[str, EvalResult]) -> List[Tuple[str, float]]:
-    """Models sorted by pass@1, descending (ties broken by name)."""
-    return sorted(
-        ((name, result.pass_at_1()) for name, result in results.items()),
-        key=lambda pair: (-pair[1], pair[0]),
     )

@@ -173,7 +173,6 @@ def run_scaled_table2(
     resume: bool = True,
     backend: Optional[str] = None,
     spill_dir: "Optional[Path | str]" = None,
-    window_shards: Optional[int] = None,
     prefetch: int = 0,
     prefetch_builder: str = "thread",
 ) -> SweepReport:
@@ -181,10 +180,10 @@ def run_scaled_table2(
 
     ``models`` must be provider *registry names* (strings) — sample
     salting re-registers clones, which has no meaning for ad-hoc
-    provider objects.  Shards are evaluated in windows of
-    ``window_shards`` (default: just enough to keep ``workers``
-    busy); each window is one
-    :meth:`~repro.core.runner.ParallelRunner.run` call, so
+    provider objects.  Shards are evaluated in windows just large enough
+    to keep the runner's workers busy (one shard per window once the
+    model x setting x sample cells outnumber the workers); each window
+    is one :meth:`~repro.core.runner.ParallelRunner.run` call, so
     checkpointing, retry, quarantine and backend fan-out all apply
     per-window, and no more than a window of questions is ever
     resident alongside the build cache's memory tier.
@@ -252,8 +251,7 @@ def run_scaled_table2(
     }
     stream = streams[WITH_CHOICE]
     cells = len(models) * len(settings) * samples
-    if window_shards is None:
-        window_shards = max(1, math.ceil(runner.workers / cells))
+    window_shards = max(1, math.ceil(runner.workers / cells))
     merged: Dict[str, Dict[str, MultiSampleResult]] = {}
     accumulators: Dict[tuple, EvalResult] = {}
     for base in models:

@@ -1,4 +1,4 @@
-"""Dataset transforms: the MC->SA challenge recast and resolution scaling."""
+"""Dataset transforms: the MC->SA challenge recast."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.core.question import (
     AnswerSpec,
     Question,
     QuestionType,
-    VisualContent,
 )
 
 
@@ -45,32 +44,4 @@ def to_short_answer(question: Question) -> Question:
         choices=(),
         correct_choice=-1,
         answer=answer,
-    )
-
-
-def with_resolution_factor(question: Question, factor: int) -> Question:
-    """Mark a question's visuals as downsampled by ``factor``.
-
-    The renderer still rasterises at native size; the encoder applies the
-    factor when computing perception, so this transform simply rescales
-    the declared legibility (the smallest essential feature shrinks by
-    ``factor``) and the nominal dimensions.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return question
-
-    def scale(visual: VisualContent) -> VisualContent:
-        return dataclasses.replace(
-            visual,
-            width=max(1, visual.width // factor),
-            height=max(1, visual.height // factor),
-            legibility_scale=visual.legibility_scale / factor,
-        )
-
-    return dataclasses.replace(
-        question,
-        visual=scale(question.visual),
-        extra_visuals=tuple(scale(v) for v in question.extra_visuals),
     )

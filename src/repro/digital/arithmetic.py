@@ -9,27 +9,7 @@ Hamming codes.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
-
-
-def to_twos_complement(value: int, width: int) -> str:
-    """The ``width``-bit two's-complement bit string of ``value``."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    if not low <= value <= high:
-        raise ValueError(f"{value} not representable in {width} bits")
-    return format(value & ((1 << width) - 1), f"0{width}b")
-
-
-def from_twos_complement(bits: str) -> int:
-    """Integer value of a two's-complement bit string."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
-    value = int(bits, 2)
-    if bits[0] == "1":
-        value -= 1 << len(bits)
-    return value
+from typing import Tuple
 
 
 def twos_complement_range(width: int) -> Tuple[int, int]:
@@ -49,20 +29,6 @@ def add_with_overflow(a: int, b: int, width: int) -> Tuple[int, bool]:
     if wrapped >= 1 << (width - 1):
         wrapped -= 1 << width
     return wrapped, overflow
-
-
-def sign_extend(bits: str, width: int) -> str:
-    """Sign-extend a two's-complement bit string to ``width`` bits."""
-    if width < len(bits):
-        raise ValueError("target width narrower than input")
-    return bits[0] * (width - len(bits)) + bits
-
-
-def fixed_point_value(bits: str, fraction_bits: int, signed: bool = True) -> float:
-    """Value of a fixed-point bit string with ``fraction_bits`` after the
-    binary point."""
-    raw = from_twos_complement(bits) if signed else int(bits, 2)
-    return raw / (1 << fraction_bits)
 
 
 def float_fields(value: float, exponent_bits: int = 8,
@@ -90,13 +56,6 @@ def float_fields(value: float, exponent_bits: int = 8,
         mantissa = 0
         biased += 1
     return (sign, biased, mantissa)
-
-
-def parity_bit(bits: str, even: bool = True) -> int:
-    """The parity bit that makes the total ones count even (or odd)."""
-    ones = bits.count("1")
-    bit = ones % 2
-    return bit if even else 1 - bit
 
 
 def hamming_encode(data_bits: str) -> str:
@@ -153,24 +112,6 @@ def hamming_correct(code_word: str) -> Tuple[str, int]:
     flipped = list(code_word)
     flipped[position - 1] = "1" if flipped[position - 1] == "0" else "0"
     return "".join(flipped), position
-
-
-def gray_encode(value: int) -> int:
-    """Binary-reflected Gray code of ``value``."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    return value ^ (value >> 1)
-
-
-def gray_decode(gray: int) -> int:
-    """Inverse of :func:`gray_encode`."""
-    if gray < 0:
-        raise ValueError("value must be non-negative")
-    value = 0
-    while gray:
-        value ^= gray
-        gray >>= 1
-    return value
 
 
 def memory_address_bits(words: int) -> int:

@@ -16,16 +16,6 @@ from repro.digital.expr import Expr
 from repro.digital.kmap import minimized_expr
 
 
-def d_ff_next(d: int, q: int) -> int:
-    """D flip-flop characteristic: Q+ = D."""
-    return d
-
-
-def t_ff_next(t: int, q: int) -> int:
-    """T flip-flop characteristic: Q+ = T xor Q."""
-    return t ^ q
-
-
 def jk_ff_next(j: int, k: int, q: int) -> int:
     """JK flip-flop characteristic: Q+ = JQ' + K'Q."""
     return (j & (1 - q)) | ((1 - k) & q)
@@ -231,20 +221,6 @@ def _longest_border(pattern: str, text: str) -> int:
         if text.endswith(pattern[:length]):
             return length
     return 0
-
-
-def counter_sequence(width: int, steps: int, start: int = 0,
-                     down: bool = False) -> List[int]:
-    """The value sequence of a ``width``-bit binary up/down counter."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    mask = (1 << width) - 1
-    value = start & mask
-    sequence = [value]
-    for _ in range(steps):
-        value = (value - 1 if down else value + 1) & mask
-        sequence.append(value)
-    return sequence
 
 
 def ring_counter_states(width: int) -> List[int]:

@@ -7,7 +7,6 @@ from repro.manufacturing import (
     diffusion,
     etch,
     lithography,
-    spc,
     yieldmodel,
 )
 from repro.manufacturing.questions import generate_manufacturing_questions
@@ -17,7 +16,6 @@ __all__ = [
     "diffusion",
     "etch",
     "lithography",
-    "spc",
     "yieldmodel",
     "generate_manufacturing_questions",
 ]

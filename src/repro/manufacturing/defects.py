@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 
 class DefectClass(enum.Enum):
@@ -83,16 +83,3 @@ def failure_probability(defect_density_cm2: float,
     if defect_density_cm2 < 0 or critical_area_cm2 < 0:
         raise ValueError("bad parameters")
     return 1.0 - math.exp(-defect_density_cm2 * critical_area_cm2)
-
-
-def particles_added_per_step(counts_before: Sequence[int],
-                             counts_after: Sequence[int]) -> List[int]:
-    """Per-wafer particle adders across a process step."""
-    if len(counts_before) != len(counts_after):
-        raise ValueError("mismatched wafer lists")
-    adders = []
-    for before, after in zip(counts_before, counts_after):
-        if before < 0 or after < 0:
-            raise ValueError("negative counts")
-        adders.append(after - before)
-    return adders

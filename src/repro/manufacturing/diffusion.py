@@ -1,18 +1,8 @@
-"""Dopant diffusion and oxidation: Gaussian/erfc profiles, Deal-Grove."""
+"""Dopant diffusion and oxidation: Gaussian profiles, Deal-Grove."""
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
-
-
-def thermal_diffusivity(d0_cm2_s: float, ea_ev: float,
-                        temperature_k: float) -> float:
-    """Arrhenius diffusivity D = D0 exp(-Ea / kT), cm^2/s."""
-    if d0_cm2_s <= 0 or temperature_k <= 0:
-        raise ValueError("bad parameters")
-    boltzmann_ev = 8.617333262e-5
-    return d0_cm2_s * math.exp(-ea_ev / (boltzmann_ev * temperature_k))
 
 
 def diffusion_length_um(d_cm2_s: float, time_s: float) -> float:
@@ -31,16 +21,6 @@ def gaussian_profile(dose_cm2: float, d_cm2_s: float, time_s: float,
     dt = d_cm2_s * time_s
     return dose_cm2 / math.sqrt(math.pi * dt) * math.exp(
         -depth_cm * depth_cm / (4.0 * dt))
-
-
-def erfc_profile(surface_conc_cm3: float, d_cm2_s: float, time_s: float,
-                 depth_cm: float) -> float:
-    """Pre-deposition (constant source) profile: N(x) = Ns erfc(x / 2
-    sqrt(Dt))."""
-    if surface_conc_cm3 <= 0 or d_cm2_s <= 0 or time_s <= 0:
-        raise ValueError("bad parameters")
-    return surface_conc_cm3 * math.erfc(
-        depth_cm / (2.0 * math.sqrt(d_cm2_s * time_s)))
 
 
 def junction_depth_gaussian(dose_cm2: float, d_cm2_s: float, time_s: float,
@@ -68,14 +48,6 @@ def oxide_silicon_consumed_um(oxide_grown_um: float) -> float:
     if oxide_grown_um < 0:
         raise ValueError("thickness must be non-negative")
     return 0.44 * oxide_grown_um
-
-
-def sheet_resistance(resistivity_ohm_cm: float,
-                     thickness_um: float) -> float:
-    """R_sheet = rho / t, ohms per square."""
-    if resistivity_ohm_cm <= 0 or thickness_um <= 0:
-        raise ValueError("bad parameters")
-    return resistivity_ohm_cm / (thickness_um * 1e-4)
 
 
 def squares_in_wire(length_um: float, width_um: float) -> float:

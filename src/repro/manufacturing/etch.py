@@ -9,7 +9,6 @@ be placed in 5:1 BOE etchant to record a 10% over-etch?"
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -71,22 +70,3 @@ def opening_width_after_etch(mask_opening_nm: float, etch_time_min: float,
     if mask_opening_nm <= 0:
         raise ValueError("opening must be positive")
     return mask_opening_nm + 2.0 * undercut_nm(etch_time_min, process)
-
-
-def anisotropy(vertical_rate: float, lateral_rate: float) -> float:
-    """A = 1 - r_lateral / r_vertical (1 = perfectly anisotropic)."""
-    if vertical_rate <= 0 or lateral_rate < 0:
-        raise ValueError("bad rates")
-    return 1.0 - lateral_rate / vertical_rate
-
-
-def aspect_ratio(depth_nm: float, width_nm: float) -> float:
-    """Feature depth over width."""
-    if width_nm <= 0 or depth_nm < 0:
-        raise ValueError("bad dimensions")
-    return depth_nm / width_nm
-
-
-def film_stack_clear_time(stack: Sequence[Tuple[float, EtchProcess]]) -> float:
-    """Total minutes to etch through a stack of (thickness, process) films."""
-    return sum(etch_time_minutes(t, p) for t, p in stack)

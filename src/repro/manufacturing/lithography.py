@@ -10,9 +10,7 @@ depicted in the figure?").
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 
 def rayleigh_resolution(k1: float, wavelength_nm: float, na: float) -> float:
@@ -86,25 +84,3 @@ def mask_error_enhancement_factor(cd_wafer_delta: float,
     if cd_mask_delta == 0:
         raise ValueError("mask CD delta must be non-zero")
     return (cd_wafer_delta / cd_mask_delta) * magnification
-
-
-def exposure_latitude_percent(dose_max: float, dose_min: float) -> float:
-    """EL = (dose_max - dose_min) / dose_nominal * 100, nominal = mean."""
-    if dose_max <= dose_min:
-        raise ValueError("dose window is empty")
-    nominal = (dose_max + dose_min) / 2.0
-    return (dose_max - dose_min) / nominal * 100.0
-
-
-def euv_vs_duv_resolution(na_euv: float = 0.33, na_duv: float = 1.35,
-                          k1: float = 0.35) -> Tuple[float, float]:
-    """Half-pitch (nm) at EUV (13.5 nm) vs immersion DUV (193 nm)."""
-    return (rayleigh_resolution(k1, 13.5, na_euv),
-            rayleigh_resolution(k1, 193.0, na_duv))
-
-
-def line_edge_roughness_budget(cd_nm: float, fraction: float = 0.1) -> float:
-    """A common LER budget: a fixed fraction of CD (3-sigma, nm)."""
-    if cd_nm <= 0 or not 0 < fraction < 1:
-        raise ValueError("bad CD or fraction")
-    return cd_nm * fraction

@@ -69,23 +69,3 @@ def cost_per_good_die(wafer_cost: float, wafer_diameter_mm: float,
     if good == 0:
         raise ValueError("no good dies at this defect density")
     return wafer_cost / good
-
-
-def yield_learning_rate(initial_yield: float, target_yield: float,
-                        improvement_per_quarter: float) -> int:
-    """Quarters to reach a target yield under multiplicative defect
-    reduction: D_next = D * (1 - improvement)."""
-    if not 0 < initial_yield < 1 or not initial_yield < target_yield < 1:
-        raise ValueError("yields must satisfy 0 < initial < target < 1")
-    if not 0 < improvement_per_quarter < 1:
-        raise ValueError("improvement must be a fraction")
-    # Poisson: Y = exp(-DA) => DA = -ln Y
-    da = -math.log(initial_yield)
-    target_da = -math.log(target_yield)
-    quarters = 0
-    while da > target_da:
-        da *= (1.0 - improvement_per_quarter)
-        quarters += 1
-        if quarters > 1000:
-            raise RuntimeError("did not converge")
-    return quarters

@@ -122,13 +122,3 @@ def finetune(model: SimulatedVLM, recipe: FinetuneRecipe,
         supports_system_prompt=model.supports_system_prompt,
         temperature=model.temperature,
     )
-
-
-def data_budget_sweep(model: SimulatedVLM,
-                      budgets: Mapping[str, int]) -> Dict[str, SimulatedVLM]:
-    """Fine-tuned variants for several uniform example budgets."""
-    return {
-        label: finetune(model, FinetuneRecipe.uniform(examples),
-                        suffix=f"ft{label}")
-        for label, examples in budgets.items()
-    }

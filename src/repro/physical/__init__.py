@@ -3,7 +3,6 @@ placement legalisation, static timing, floorplanning, DRC, and the 23
 Physical Design ChipVQA questions built on them."""
 
 from repro.physical import (
-    congestion,
     cts,
     drc,
     floorplan,
@@ -16,7 +15,6 @@ from repro.physical import (
 from repro.physical.questions import generate_physical_questions
 
 __all__ = [
-    "congestion",
     "cts",
     "drc",
     "floorplan",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from repro.physical.geometry import Point
 
@@ -24,11 +24,6 @@ def skew(sinks: Sequence[ClockSink]) -> float:
     return max(delays) - min(delays)
 
 
-def local_skew(a: ClockSink, b: ClockSink) -> float:
-    """Signed skew between two specific sinks."""
-    return a.insertion_delay - b.insertion_delay
-
-
 def h_tree_levels(n_sinks: int) -> int:
     """Levels of a balanced H-tree serving ``n_sinks`` (power of 4)."""
     if n_sinks < 1:
@@ -37,32 +32,6 @@ def h_tree_levels(n_sinks: int) -> int:
     while 4 ** levels < n_sinks:
         levels += 1
     return levels
-
-
-def h_tree_wirelength(chip_side: float, levels: int) -> float:
-    """Total wirelength of an H-tree over a square die.
-
-    Level 1 is one 'H' of total length 2 * side/2 + side/2 ... modelled
-    recursively: each level adds 4^(k-1) H-shapes of size side / 2^(k-1),
-    each H contributing 1.5x its span.
-    """
-    if levels < 0:
-        raise ValueError("levels must be non-negative")
-    total = 0.0
-    for k in range(1, levels + 1):
-        span = chip_side / (2 ** (k - 1))
-        total += (4 ** (k - 1)) * 1.5 * span
-    return total
-
-
-def h_tree_sink_delay_balanced(chip_side: float, levels: int,
-                               delay_per_unit: float) -> float:
-    """Source-to-sink wire delay of an ideal H-tree (identical all sinks).
-
-    Path length halves per level: side/2 + side/4 + ... over ``levels``.
-    """
-    length = sum(chip_side / (2 ** k) for k in range(1, levels + 1))
-    return length * delay_per_unit
 
 
 def setup_slack(clock_period: float, data_arrival: float,
@@ -75,12 +44,6 @@ def hold_slack(data_arrival: float, hold_time: float,
                capture_skew: float = 0.0) -> float:
     """Hold slack = arrival - skew - t_hold (same-edge check)."""
     return data_arrival - capture_skew - hold_time
-
-
-def min_period(data_arrival: float, setup_time: float,
-               capture_skew: float = 0.0) -> float:
-    """Smallest clock period with non-negative setup slack."""
-    return data_arrival + setup_time - capture_skew
 
 
 def useful_skew_gain(path_delays: Sequence[float]) -> float:

@@ -1,9 +1,9 @@
-"""Design-rule checking: width / spacing / enclosure rules over rectangles."""
+"""Design-rule checking: width / spacing rules over rectangles."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.physical.geometry import Rect
 
@@ -57,33 +57,6 @@ def check_spacing(shapes: Sequence[Rect], rules: RuleSet) -> List[Violation]:
     return violations
 
 
-def check_enclosure(inner: Sequence[Rect], outer: Sequence[Rect],
-                    rules: RuleSet) -> List[Violation]:
-    """Each inner shape (e.g. a via) must be enclosed by some outer shape
-    with min_enclosure margin on all sides."""
-    violations = []
-    for i, shape in enumerate(inner):
-        best_margin = float("-inf")
-        for cover in outer:
-            margin = min(
-                shape.x - cover.x,
-                shape.y - cover.y,
-                cover.x2 - shape.x2,
-                cover.y2 - shape.y2,
-            )
-            best_margin = max(best_margin, margin)
-        if best_margin < rules.min_enclosure - 1e-12:
-            violations.append(
-                Violation("enclosure", (i,), best_margin,
-                          rules.min_enclosure))
-    return violations
-
-
 def check_layer(shapes: Sequence[Rect], rules: RuleSet) -> List[Violation]:
     """Width + spacing checks for one layer."""
     return check_width(shapes, rules) + check_spacing(shapes, rules)
-
-
-def violation_count(shapes: Sequence[Rect], rules: RuleSet) -> int:
-    """Total width + spacing violations on one layer."""
-    return len(check_layer(shapes, rules))

@@ -1,4 +1,4 @@
-"""Slicing floorplans: normalized Polish expressions and packing."""
+"""Slicing floorplans: packing Polish expressions."""
 
 from __future__ import annotations
 
@@ -69,42 +69,3 @@ def dead_space_percent(expression: Sequence[str],
     if total <= 0:
         raise ValueError("degenerate floorplan")
     return dead_space(expression, blocks) / total * 100.0
-
-
-def is_normalized(expression: Sequence[str]) -> bool:
-    """Normalized Polish expression: no two consecutive equal operators."""
-    ops = {"H", "V"}
-    balance = 0
-    for a, b in zip(expression, expression[1:]):
-        if a in ops and b in ops and a == b:
-            return False
-    for token in expression:
-        balance += -1 if token in ops else 1
-        if balance < 1:
-            return False
-    return balance == 1
-
-
-def aspect_ratio(expression: Sequence[str],
-                 blocks: Dict[str, Block]) -> float:
-    """Long side over short side of the packed floorplan."""
-    width, height = pack(expression, blocks)
-    return max(width, height) / min(width, height)
-
-
-def best_orientation_area(expression: Sequence[str],
-                          blocks: Dict[str, Block]) -> float:
-    """Minimum packed area over all block rotations (exhaustive).
-
-    Exponential in block count — fine for exam-sized floorplans.
-    """
-    import itertools
-    names = sorted(blocks)
-    best = float("inf")
-    for flips in itertools.product((False, True), repeat=len(names)):
-        oriented = {}
-        for name, flip in zip(names, flips):
-            block = blocks[name]
-            oriented[name] = Block(name, block.h, block.w) if flip else block
-        best = min(best, chip_area(expression, oriented))
-    return best

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -84,8 +84,3 @@ def hpwl(points: Iterable[Point]) -> float:
     """Half-perimeter wirelength of a net — the standard placement metric."""
     box = bounding_box(points)
     return box.w + box.h
-
-
-def total_hpwl(nets: Sequence[Sequence[Point]]) -> float:
-    """Sum of per-net HPWL over a netlist."""
-    return sum(hpwl(net) for net in nets)

@@ -95,9 +95,3 @@ def bends(path: Sequence[Cell]) -> int:
         if d1 != d2:
             count += 1
     return count
-
-
-def detour(path_length: int, source: Cell, target: Cell) -> int:
-    """Extra length versus the unobstructed Manhattan distance."""
-    manhattan = abs(source[0] - target[0]) + abs(source[1] - target[1])
-    return path_length - manhattan

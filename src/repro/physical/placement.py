@@ -88,11 +88,6 @@ def total_displacement(placed: Sequence[PlacedCell]) -> float:
     return sum(p.displacement for p in placed)
 
 
-def max_displacement(placed: Sequence[PlacedCell]) -> float:
-    """Largest single-cell displacement."""
-    return max((p.displacement for p in placed), default=0.0)
-
-
 def has_overlaps(placed: Sequence[PlacedCell]) -> bool:
     """True if any two placed cells overlap (legality check)."""
     rects = [p.rect for p in placed]
@@ -120,10 +115,3 @@ def rows_required(total_cell_width: float, row_width: float,
         raise ValueError("bad row width or utilisation cap")
     import math
     return max(1, math.ceil(total_cell_width / (row_width * utilization_cap)))
-
-
-def pin_density(pin_count: int, area_um2: float) -> float:
-    """Pins per square micron — a routability indicator."""
-    if area_um2 <= 0:
-        raise ValueError("area must be positive")
-    return pin_count / area_um2

@@ -1,18 +1,16 @@
-"""Rectilinear routing trees: spanning trees, Steiner approximation, costs.
+"""Rectilinear routing trees: spanning trees and topology costs.
 
 Implements the routing-cost machinery behind the paper's Physical Design
 example ("calculate the routing costs for the 2 diagrams and determine
 which routing topology has lower cost"): rectilinear minimum spanning trees
-(Prim), a Hanan-grid Steiner improvement pass, explicit-topology cost
-evaluation, and HPWL lower bounds.
+(Prim) and explicit-topology cost evaluation.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.physical.geometry import Point, hpwl
+from repro.physical.geometry import Point
 
 
 Edge = Tuple[int, int]
@@ -70,46 +68,6 @@ def rmst(points: Sequence[Point]) -> List[Edge]:
 def rmst_cost(points: Sequence[Point]) -> float:
     """Total wirelength of the rectilinear MST."""
     return tree_cost(points, rmst(points))
-
-
-def hanan_points(points: Sequence[Point]) -> List[Point]:
-    """The Hanan grid: intersections of x/y coordinates of the terminals."""
-    xs = sorted({p.x for p in points})
-    ys = sorted({p.y for p in points})
-    terminals = set(points)
-    return [Point(x, y) for x in xs for y in ys
-            if Point(x, y) not in terminals]
-
-
-def steiner_cost(points: Sequence[Point], max_extra: int = 2) -> float:
-    """Approximate RSMT cost: RMST improved by adding up to ``max_extra``
-    Hanan-grid Steiner points greedily (1-Steiner heuristic).
-
-    Exact for the small nets benchmark questions use; never worse than the
-    RMST cost by construction.
-    """
-    current_points = list(points)
-    current_cost = rmst_cost(current_points)
-    for _ in range(max_extra):
-        candidates = hanan_points(current_points)
-        best_cost = current_cost
-        best_point = None
-        for candidate in candidates:
-            trial = current_points + [candidate]
-            cost = rmst_cost(trial)
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best_point = candidate
-        if best_point is None:
-            break
-        current_points.append(best_point)
-        current_cost = best_cost
-    return current_cost
-
-
-def hpwl_lower_bound(points: Sequence[Point]) -> float:
-    """HPWL is a lower bound on any rectilinear Steiner tree."""
-    return hpwl(points)
 
 
 def compare_topologies(points: Sequence[Point],

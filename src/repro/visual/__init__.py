@@ -27,7 +27,6 @@ from repro.core.question import VisualContent
 from repro.visual.canvas import Canvas
 from repro.visual.resolution import (
     downsample,
-    edge_energy,
     legibility_score,
     raster_legibility,
     stroke_legibility,
@@ -43,7 +42,6 @@ __all__ = [
     "render_scene",
     "draw_scene",
     "downsample",
-    "edge_energy",
     "legibility_score",
     "raster_legibility",
     "stroke_legibility",

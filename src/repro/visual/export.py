@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -45,24 +45,6 @@ def load_pgm(path: "Path | str") -> np.ndarray:
         raise ValueError("only 8-bit PGM supported")
     pixels = np.frombuffer(rest, dtype=np.uint8, count=width * height)
     return pixels.reshape(height, width).copy()
-
-
-def side_by_side(images: Sequence[np.ndarray], gap: int = 8,
-                 background: int = 255) -> np.ndarray:
-    """Concatenate images horizontally, padding heights to match."""
-    if not images:
-        raise ValueError("no images")
-    height = max(im.shape[0] for im in images)
-    padded: List[np.ndarray] = []
-    for index, image in enumerate(images):
-        pad_rows = height - image.shape[0]
-        block = np.pad(image, ((0, pad_rows), (0, 0)), mode="constant",
-                       constant_values=background)
-        padded.append(block)
-        if index != len(images) - 1:
-            padded.append(np.full((height, gap), background,
-                                  dtype=np.uint8))
-    return np.concatenate(padded, axis=1)
 
 
 def contact_sheet(questions: Sequence[Question], columns: int = 4,

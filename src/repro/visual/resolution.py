@@ -49,20 +49,6 @@ def upsample_nearest(image: np.ndarray, factor: int) -> np.ndarray:
     return np.repeat(np.repeat(image, factor, axis=0), factor, axis=1)
 
 
-def edge_energy(image: np.ndarray) -> float:
-    """Mean absolute gradient magnitude — a proxy for fine detail."""
-    pixels = image.astype(np.float64)
-    gx = np.abs(np.diff(pixels, axis=1)).mean() if pixels.shape[1] > 1 else 0.0
-    gy = np.abs(np.diff(pixels, axis=0)).mean() if pixels.shape[0] > 1 else 0.0
-    return float(gx + gy)
-
-
-def contrast(image: np.ndarray) -> float:
-    """Peak-to-peak intensity range normalised to [0, 1]."""
-    pixels = image.astype(np.float64)
-    return float((pixels.max() - pixels.min()) / 255.0)
-
-
 #: Pixels darker than this count as ink in the native raster.
 INK_THRESHOLD = 128
 #: Reconstructed pixels must stay darker than this to remain visible.

@@ -108,30 +108,6 @@ def translate(scene: Sequence[Dict], dx: float, dy: float) -> Scene:
     return shifted
 
 
-def scene_bounds(scene: Sequence[Dict]) -> tuple:
-    """Bounding box ``(x0, y0, x1, y1)`` of all scene coordinates."""
-    xs: List[float] = []
-    ys: List[float] = []
-    for element in scene:
-        for key in ("p0", "p1", "xy", "center"):
-            if key in element:
-                x, y = element[key]
-                xs.append(x)
-                ys.append(y)
-        if "points" in element:
-            for x, y in element["points"]:
-                xs.append(x)
-                ys.append(y)
-        if "size" in element and "xy" in element:
-            x, y = element["xy"]
-            w, h = element["size"]
-            xs.append(x + w)
-            ys.append(y + h)
-    if not xs:
-        return (0.0, 0.0, 0.0, 0.0)
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
 def min_stroke_scale(scene: Sequence[Dict]) -> float:
     """Smallest semantically-meaningful feature size in the scene, in pixels.
 

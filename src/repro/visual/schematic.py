@@ -9,7 +9,6 @@ is a raster that carries the same information a textbook figure would
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence, Tuple
 
 from repro.visual.scene import Scene
@@ -34,24 +33,6 @@ def _resistor(x: int, y: int, horizontal: bool = True, length: int = 40) -> Scen
         points.append((x, y + length))
     scene.append({"op": "polyline", "points": [list(p) for p in points]})
     return scene
-
-
-def _capacitor(x: int, y: int, horizontal: bool = True, gap: int = 6) -> Scene:
-    """A two-plate capacitor symbol centred at ``(x, y)``."""
-    plate = 14
-    if horizontal:
-        return [
-            {"op": "line", "p0": [x - gap, y - plate // 2],
-             "p1": [x - gap, y + plate // 2], "thickness": 2},
-            {"op": "line", "p0": [x + gap, y - plate // 2],
-             "p1": [x + gap, y + plate // 2], "thickness": 2},
-        ]
-    return [
-        {"op": "line", "p0": [x - plate // 2, y - gap],
-         "p1": [x + plate // 2, y - gap], "thickness": 2},
-        {"op": "line", "p0": [x - plate // 2, y + gap],
-         "p1": [x + plate // 2, y + gap], "thickness": 2},
-    ]
 
 
 def _ground(x: int, y: int) -> Scene:

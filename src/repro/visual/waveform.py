@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.visual.scene import Scene
 
@@ -107,32 +107,4 @@ def step_response_scene(
         )
         points.append((t, y))
     scene = curve_scene([(label, points)], x_label="T", y_label="V")
-    return scene
-
-
-def shmoo_scene(
-    pass_grid: Sequence[Sequence[bool]],
-    x_label: str = "VDD",
-    y_label: str = "FREQ",
-) -> Scene:
-    """A shmoo plot: pass (filled) / fail (empty) cells over two axes."""
-    scene: Scene = []
-    ox, oy = 80, 60
-    cell = 24
-    for r, row in enumerate(pass_grid):
-        for c, passed in enumerate(row):
-            x = ox + c * cell
-            y = oy + r * cell
-            if passed:
-                scene.append({"op": "fill_rect", "xy": [x, y],
-                              "size": [cell - 2, cell - 2], "ink": 80})
-            else:
-                scene.append({"op": "rect", "xy": [x, y],
-                              "size": [cell - 2, cell - 2]})
-    rows = len(pass_grid)
-    cols = len(pass_grid[0]) if pass_grid else 0
-    scene.append({"op": "text", "xy": [ox + cols * cell + 10,
-                                       oy + rows * cell // 2], "s": y_label})
-    scene.append({"op": "text", "xy": [ox + cols * cell // 2,
-                                       oy + rows * cell + 12], "s": x_label})
     return scene

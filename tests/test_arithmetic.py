@@ -7,30 +7,9 @@ from repro.digital import arithmetic as ar
 
 
 class TestTwosComplement:
-    def test_positive(self):
-        assert ar.to_twos_complement(5, 8) == "00000101"
-
-    def test_negative(self):
-        assert ar.to_twos_complement(-1, 4) == "1111"
-        assert ar.to_twos_complement(-8, 4) == "1000"
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            ar.to_twos_complement(8, 4)
 
     def test_range(self):
         assert ar.twos_complement_range(8) == (-128, 127)
-
-    @given(st.integers(2, 12), st.data())
-    def test_round_trip(self, width, data):
-        low, high = ar.twos_complement_range(width)
-        value = data.draw(st.integers(low, high))
-        assert ar.from_twos_complement(
-            ar.to_twos_complement(value, width)) == value
-
-    def test_from_invalid_raises(self):
-        with pytest.raises(ValueError):
-            ar.from_twos_complement("10a1")
 
 
 class TestOverflow:
@@ -53,26 +32,7 @@ class TestOverflow:
         assert -128 <= result <= 127
 
 
-class TestSignExtension:
-    def test_negative_extends_ones(self):
-        assert ar.sign_extend("1010", 8) == "11111010"
-
-    def test_positive_extends_zeros(self):
-        assert ar.sign_extend("0110", 8) == "00000110"
-
-    def test_preserves_value(self):
-        assert ar.from_twos_complement(ar.sign_extend("1010", 8)) == \
-            ar.from_twos_complement("1010")
-
-    def test_narrower_target_raises(self):
-        with pytest.raises(ValueError):
-            ar.sign_extend("10101010", 4)
-
-
 class TestFixedAndFloat:
-    def test_fixed_point(self):
-        assert ar.fixed_point_value("0110", 2) == 1.5
-        assert ar.fixed_point_value("1100", 2, signed=True) == -1.0
 
     def test_float_fields_one(self):
         assert ar.float_fields(1.0) == (0, 127, 0)
@@ -92,18 +52,6 @@ class TestFixedAndFloat:
 
 
 class TestCodes:
-    def test_parity(self):
-        assert ar.parity_bit("1011") == 1
-        assert ar.parity_bit("1011", even=False) == 0
-
-    def test_gray_round_trip(self):
-        for value in range(64):
-            assert ar.gray_decode(ar.gray_encode(value)) == value
-
-    def test_gray_adjacent_differ_by_one_bit(self):
-        for value in range(63):
-            diff = ar.gray_encode(value) ^ ar.gray_encode(value + 1)
-            assert bin(diff).count("1") == 1
 
     def test_hamming_encode_length(self):
         assert len(ar.hamming_encode("1011")) == 7

@@ -4,40 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.arch.branch import (
-    GsharePredictor,
-    OneBitPredictor,
-    StaticPredictor,
     TwoBitPredictor,
     accuracy,
     loop_branch_outcomes,
     mispredict_penalty_cpi,
     run_predictor,
 )
-
-
-class TestStatic:
-    def test_always_taken(self):
-        predictor = StaticPredictor(True)
-        outcomes = [True, True, False]
-        correct, _ = run_predictor(predictor, outcomes)
-        assert correct == 2
-
-
-class TestOneBit:
-    def test_mispredicts_twice_per_loop(self):
-        # classic result: a loop branch costs 2 mispredicts per execution
-        predictor = OneBitPredictor(initial_taken=False)
-        outcomes = loop_branch_outcomes(iterations=5, trips=2)
-        correct, flags = run_predictor(predictor, outcomes)
-        # trip 1: initial miss + exit miss; trip 2: re-entry miss + exit
-        assert len(outcomes) - correct == 4
-
-    def test_tracks_last_outcome(self):
-        predictor = OneBitPredictor()
-        predictor.update(0, True)
-        assert predictor.predict(0) is True
-        predictor.update(0, False)
-        assert predictor.predict(0) is False
 
 
 class TestTwoBit:
@@ -65,25 +37,6 @@ class TestTwoBit:
         with pytest.raises(ValueError):
             TwoBitPredictor(initial=4)
 
-    def test_beats_one_bit_on_loops(self):
-        outcomes = loop_branch_outcomes(iterations=10, trips=5)
-        two_bit = accuracy(TwoBitPredictor(initial=3), outcomes)
-        one_bit = accuracy(OneBitPredictor(initial_taken=True), outcomes)
-        assert two_bit >= one_bit
-
-
-class TestGshare:
-    def test_learns_alternating_pattern(self):
-        predictor = GsharePredictor(history_bits=4)
-        outcomes = [True, False] * 40
-        correct, flags = run_predictor(predictor, outcomes)
-        # after warm-up the alternation is perfectly predictable
-        assert all(flags[-20:])
-
-    def test_history_bits_validated(self):
-        with pytest.raises(ValueError):
-            GsharePredictor(history_bits=0)
-
 
 class TestHelpers:
     def test_loop_outcomes_shape(self):
@@ -105,10 +58,8 @@ class TestHelpers:
 
 @given(st.lists(st.booleans(), min_size=1, max_size=100))
 def test_accuracy_bounded(outcomes):
-    for predictor in (StaticPredictor(), OneBitPredictor(),
-                      TwoBitPredictor(), GsharePredictor()):
-        value = accuracy(predictor, outcomes)
-        assert 0.0 <= value <= 1.0
+    value = accuracy(TwoBitPredictor(), outcomes)
+    assert 0.0 <= value <= 1.0
 
 
 @given(st.lists(st.booleans(), min_size=4, max_size=100))

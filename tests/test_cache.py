@@ -1,4 +1,4 @@
-"""Tests for the cache model: geometry, simulation, AMAT, three-C."""
+"""Tests for the cache model: geometry, simulation, AMAT."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +7,6 @@ from repro.arch.cache import (
     Cache,
     CacheGeometry,
     amat,
-    amat_two_level,
-    classify_misses,
 )
 
 
@@ -118,31 +116,3 @@ class TestAmat:
     def test_amat_validation(self):
         with pytest.raises(ValueError):
             amat(1.0, 1.5, 100.0)
-
-    def test_two_level(self):
-        value = amat_two_level(1.0, 0.1, 10.0, 0.2, 100.0)
-        assert value == pytest.approx(1.0 + 0.1 * (10.0 + 0.2 * 100.0))
-
-
-class TestThreeC:
-    def test_all_first_touches_are_compulsory(self):
-        g = CacheGeometry(4096, 64, 4)
-        addresses = [i * 64 for i in range(10)]
-        counts = classify_misses(g, addresses)
-        assert counts["compulsory"] == 10
-        assert counts["capacity"] == 0
-        assert counts["conflict"] == 0
-
-    def test_conflict_misses_detected(self):
-        # direct-mapped, two blocks mapping to the same set
-        g = CacheGeometry(128, 32, 1)  # 4 sets
-        a, b = 0, 128  # same index, different tags
-        counts = classify_misses(g, [a, b, a, b, a, b])
-        assert counts["conflict"] > 0
-
-    def test_capacity_misses_detected(self):
-        # fully associative cache that is simply too small
-        g = CacheGeometry(128, 32, 4)  # 4 blocks total
-        addresses = [i * 32 for i in range(8)] * 2
-        counts = classify_misses(g, addresses)
-        assert counts["capacity"] > 0

@@ -376,6 +376,8 @@ USAGE_ERRORS = [
          "--replicas 3 applies only to --service"),
     _row("local-shard-size", K2 + ["--shard-size", "5"],
          "--shard-size 5 applies only to the scaled path"),
+    _row("local-spill-dir", K2 + ["--spill-dir", "spill"],
+         "--spill-dir spill applies only to the scaled path"),
     _row("local-latency", K2 + ["--latency", "0.01"],
          "--latency requires --provider remote or --service"),
     _row("local-failure-rate", K2 + ["--failure-rate", "0.5"],
@@ -426,7 +428,7 @@ USAGE_ERRORS = [
                                                 "--breaker-cooldown", "5"],
          "--breaker-cooldown 5.0 applies only to the canonical sweep"),
     _row("service-spill-dir", SERVICE + ["--spill-dir", "spill"],
-         "--spill-dir spill applies only to the canonical sweep"),
+         "--spill-dir spill applies only to the scaled path"),
     _row("service-run-dir", SERVICE + ["--run-dir", "run"],
          "--run-dir run applies only to the canonical sweep"),
     _row("service-no-resume", SERVICE + ["--no-resume"],
@@ -511,8 +513,7 @@ ACCEPTED = [
      "--latency", "0.001", "--failure-rate", "1.0", "--run-dir",
      "/tmp/pr"],
     ["table2", "--models", "gpt-4o", "llava-7b", "--workers", "4",
-     "--backend", "process", "--spill-dir", "/tmp/sp", "--run-dir",
-     "/tmp/p1", "--cache-stats"],
+     "--backend", "process", "--run-dir", "/tmp/p1", "--cache-stats"],
     ["table2", "--models", "gpt-4o", "llava-7b", "--limit", "284",
      "--dataset-seed", "1", "--samples", "3", "--run-dir", "/tmp/sc",
      "--spill-dir", "/tmp/scache", "--cache-stats"],

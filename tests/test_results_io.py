@@ -247,8 +247,8 @@ class TestAtomicSave:
 class TestRunTree:
     def test_save_load_run(self, tmp_path):
         results = run_table2([build_model("kosmos-2")])
-        written = results_io.save_run(results, tmp_path)
-        assert len(written) == 2
+        for setting, result in results["kosmos-2"].items():
+            results_io.save(result, tmp_path / f"kosmos-2__{setting}.jsonl")
         restored = results_io.load_run(tmp_path)
         assert set(restored) == {"kosmos-2"}
         for setting, result in restored["kosmos-2"].items():
@@ -265,8 +265,7 @@ class TestRunTree:
         mis-split into model ``llava`` / setting ``next__no_choice``."""
         result = _small_result()
         result.model_name = "llava__next"
-        results_io.save_run({"llava__next": {"no_choice": result}},
-                            tmp_path)
+        results_io.save(result, tmp_path / "llava__next__no_choice.jsonl")
         restored = results_io.load_run(tmp_path)
         assert set(restored) == {"llava__next"}
         assert set(restored["llava__next"]) == {"no_choice"}

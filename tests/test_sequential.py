@@ -9,7 +9,6 @@ from repro.digital.kmap import sop_text
 from repro.digital.sequential import (
     StateMachine,
     Transition,
-    counter_sequence,
     johnson_counter_states,
     next_state_expression,
     ring_counter_states,
@@ -19,14 +18,6 @@ from repro.digital.sequential import (
 
 
 class TestFlipFlops:
-    def test_d_ff(self):
-        assert sequential.d_ff_next(1, 0) == 1
-        assert sequential.d_ff_next(0, 1) == 0
-
-    def test_t_ff_toggles(self):
-        assert sequential.t_ff_next(1, 0) == 1
-        assert sequential.t_ff_next(1, 1) == 0
-        assert sequential.t_ff_next(0, 1) == 1
 
     def test_jk_modes(self):
         assert sequential.jk_ff_next(0, 0, 1) == 1  # hold
@@ -138,11 +129,6 @@ class TestSequenceDetector:
 
 
 class TestCounters:
-    def test_up_counter_wraps(self):
-        assert counter_sequence(2, 5) == [0, 1, 2, 3, 0, 1]
-
-    def test_down_counter(self):
-        assert counter_sequence(2, 2, start=1, down=True) == [1, 0, 3]
 
     def test_ring_counter_states(self):
         assert ring_counter_states(3) == [1, 2, 4]

@@ -10,7 +10,6 @@ from repro.core.significance import (
     compare,
     mcnemar,
     paired_bootstrap_diff,
-    rank_models,
 )
 
 
@@ -82,15 +81,6 @@ class TestCompare:
         b = _result("b", [False, True] * 20)
         low, high = paired_bootstrap_diff(a, b)
         assert low <= 0.0 <= high
-
-    def test_rank_models(self):
-        results = {
-            "weak": _result("weak", [False, False, True, False]),
-            "strong": _result("strong", [True, True, True, False]),
-        }
-        ranking = rank_models(results)
-        assert ranking[0][0] == "strong"
-        assert ranking[0][1] > ranking[1][1]
 
     def test_zoo_comparison_significant(self, chipvqa):
         from repro.core.harness import EvaluationHarness

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analog import smallsignal as ss
-from repro.analog.smallsignal import MosParams, bias_from_current, bias_from_vgs
+from repro.analog.smallsignal import MosParams, bias_from_current
 
 
 class TestOperatingPoint:
@@ -29,15 +29,6 @@ class TestOperatingPoint:
         op = bias_from_current(MosParams(k=1e-3, v_th=0.4, lam=0.02), 1e-3)
         assert op.ro == pytest.approx(50e3)
         assert op.intrinsic_gain == pytest.approx(op.gm * 50e3)
-
-    def test_bias_from_vgs_round_trip(self):
-        params = MosParams(k=2e-3, v_th=0.5)
-        op = bias_from_vgs(params, 1.5)
-        assert op.i_d == pytest.approx(1e-3)
-
-    def test_off_device_raises(self):
-        with pytest.raises(ValueError):
-            bias_from_vgs(MosParams(k=1e-3, v_th=0.7), 0.5)
 
     def test_saturation_check(self):
         params = MosParams(k=1e-3, v_th=0.6)

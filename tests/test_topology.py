@@ -90,11 +90,3 @@ class TestComparison:
         assert table["crossbar"]["diameter"] == 1.0
         assert table["hypercube"]["diameter"] == 4.0
         assert table["ring"]["diameter"] == 8.0
-
-    def test_dor_route_is_x_then_y(self):
-        path = topo.dor_route((0, 0), (2, 2))
-        assert path == [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]
-
-    def test_dor_route_length_is_manhattan(self):
-        path = topo.dor_route((3, 1), (0, 4))
-        assert len(path) - 1 == 3 + 3

@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 
 from repro.analog.transfer import (
     TransferFunction,
-    decade_ratio,
     gbw_from_dc_gain,
     rc_lowpass_corner_hz,
-    single_pole_phase_margin,
 )
 
 
@@ -85,10 +83,6 @@ class TestLoopMetrics:
         tf = TransferFunction.from_poles_zeros(1e3, [1e3, 1e3])
         assert tf.phase_margin_deg() < 20.0
 
-    def test_phase_margin_helper(self):
-        pm = single_pole_phase_margin(1e3, 1e4, second_pole_w=1e7)
-        assert 45.0 < pm < 60.0
-
     def test_unity_gain_raises_below_unity(self):
         tf = TransferFunction.from_poles_zeros(0.5, [1e3])
         with pytest.raises(ValueError):
@@ -116,9 +110,6 @@ class TestHelpers:
 
     def test_gbw(self):
         assert gbw_from_dc_gain(1e4, 100.0) == pytest.approx(1e6)
-
-    def test_decade_ratio(self):
-        assert decade_ratio(10.0, 1e4) == pytest.approx(3.0)
 
 
 @given(st.floats(1.0, 1e4), st.floats(10.0, 1e8))

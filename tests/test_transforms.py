@@ -1,6 +1,4 @@
-"""Tests for the MC->SA challenge recast and resolution transform."""
-
-import pytest
+"""Tests for the MC->SA challenge recast."""
 
 from repro.core.question import (
     AnswerKind,
@@ -10,7 +8,7 @@ from repro.core.question import (
     VisualType,
     make_mc_question,
 )
-from repro.core.transforms import to_short_answer, with_resolution_factor
+from repro.core.transforms import to_short_answer
 
 
 def _mc():
@@ -62,19 +60,3 @@ class TestToShortAnswer:
         assert len(chipvqa_challenge) == len(chipvqa)
         for original, recast in zip(chipvqa, chipvqa_challenge):
             assert recast.prompt == original.prompt
-
-
-class TestResolutionTransform:
-    def test_identity_at_factor_1(self):
-        question = _mc()
-        assert with_resolution_factor(question, 1) is question
-
-    def test_scales_dimensions_and_legibility(self):
-        question = _mc()
-        scaled = with_resolution_factor(question, 8)
-        assert scaled.visual.width == question.visual.width // 8
-        assert scaled.visual.legibility_scale == pytest.approx(1.0)
-
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            with_resolution_factor(_mc(), 0)

@@ -16,7 +16,7 @@ from repro.visual.diagram import (
 )
 from repro.visual.glyphs import GLYPH_HEIGHT, GLYPH_WIDTH, glyph_bitmap, text_width
 from repro.visual.layout import cross_section_scene, layout_scene, mask_pattern_scene
-from repro.visual.scene import draw_scene, min_stroke_scale, scene_bounds, translate
+from repro.visual.scene import draw_scene, min_stroke_scale, translate
 from repro.visual.schematic import (
     bode_plot_scene,
     common_source_scene,
@@ -27,7 +27,7 @@ from repro.visual.schematic import (
     resistor_network_scene,
 )
 from repro.visual.table import kmap_scene, table_scene, truth_table_scene
-from repro.visual.waveform import curve_scene, shmoo_scene, waveform_scene
+from repro.visual.waveform import curve_scene, waveform_scene
 
 
 class TestCanvas:
@@ -327,10 +327,6 @@ class TestSceneInterpreter:
         assert moved[0]["xy"] == [5, 7]
         assert scene[0]["xy"] == [0, 0]  # original untouched
 
-    def test_scene_bounds(self):
-        scene = [{"op": "rect", "xy": [10, 20], "size": [30, 5]}]
-        assert scene_bounds(scene) == (10, 20, 40, 25)
-
     def test_min_stroke_scale(self):
         scene = [{"op": "text", "xy": [0, 0], "s": "A", "scale": 3},
                  {"op": "line", "p0": [0, 0], "p1": [1, 1], "thickness": 2}]
@@ -364,7 +360,6 @@ BUILDERS = [
                                          ["1", "0", "0", "1"]]),
     lambda: waveform_scene([("CLK", [0, 1, 0, 1])]),
     lambda: curve_scene([("G", [(1.0, 0.0), (10.0, -20.0)])], log_x=True),
-    lambda: shmoo_scene([[True, False], [True, True]]),
 ]
 
 

@@ -1,12 +1,9 @@
-"""Tests for virtual memory: geometry, page walks, TLB, EAT."""
+"""Tests for virtual memory: geometry, page-table size, EAT."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.arch.vm import (
-    Mmu,
-    PageTable,
-    Tlb,
     VmGeometry,
     effective_access_time,
     page_table_size_bytes,
@@ -46,67 +43,6 @@ class TestGeometry:
     def test_flat_table_size(self):
         g = VmGeometry(32, 30, 4096)
         assert page_table_size_bytes(g, metadata_bits=12) == 4 * 2 ** 20
-
-
-class TestPageTable:
-    def test_translate(self):
-        g = VmGeometry(32, 30, 4096)
-        table = PageTable(g)
-        table.map(0x1000, 0x5000)
-        assert table.translate(0x1ABC) == 0x5ABC
-
-    def test_page_fault(self):
-        table = PageTable(VmGeometry(32, 30, 4096))
-        with pytest.raises(KeyError, match="fault"):
-            table.translate(0xDEAD000)
-
-    def test_walk_accesses_equals_levels(self):
-        table = PageTable(VmGeometry(32, 30, 4096, levels=2))
-        assert table.walk_accesses() == 2
-
-
-class TestTlb:
-    def test_hit_after_fill(self):
-        tlb = Tlb(4)
-        assert tlb.lookup(1) is None
-        tlb.fill(1, 99)
-        assert tlb.lookup(1) == 99
-        assert tlb.hit_rate == pytest.approx(0.5)
-
-    def test_lru_eviction(self):
-        tlb = Tlb(2)
-        tlb.fill(1, 10)
-        tlb.fill(2, 20)
-        tlb.lookup(1)          # refresh 1
-        tlb.fill(3, 30)        # evicts 2
-        assert tlb.lookup(2) is None
-        assert tlb.lookup(1) == 10
-
-    def test_hit_rate_requires_lookups(self):
-        with pytest.raises(ValueError):
-            Tlb(2).hit_rate
-
-
-class TestMmu:
-    def test_miss_then_hit_latency(self):
-        g = VmGeometry(32, 30, 4096, levels=2)
-        table = PageTable(g)
-        table.map(0x1000, 0x8000)
-        mmu = Mmu(table, Tlb(8), tlb_time=1.0, memory_time=100.0)
-        _, cold = mmu.access(0x1004)
-        _, warm = mmu.access(0x1008)
-        assert cold == pytest.approx(1.0 + 2 * 100.0 + 100.0)
-        assert warm == pytest.approx(1.0 + 100.0)
-
-    def test_translation_correct_through_tlb(self):
-        g = VmGeometry(32, 30, 4096)
-        table = PageTable(g)
-        table.map(0x2000, 0xA000)
-        mmu = Mmu(table, Tlb(2))
-        paddr1, _ = mmu.access(0x2ABC)
-        paddr2, _ = mmu.access(0x2DEF)
-        assert paddr1 == 0xAABC
-        assert paddr2 == 0xADEF
 
 
 class TestEat:
