@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.prompts import SYSTEM_PROMPT, question_user_prompt
+from repro.core.prompts import question_user_prompt
 from repro.core.question import Category, Question
 from repro.agent.messages import Conversation, Role
 from repro.agent.tools import VisionTool

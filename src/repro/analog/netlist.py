@@ -12,7 +12,7 @@ Node ``0`` (alias ``"gnd"``) is ground.  Nodes are arbitrary hashable names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 

@@ -17,7 +17,7 @@ import math
 from typing import List, Sequence
 
 from repro.analog import dataconv, feedback, smallsignal
-from repro.analog.feedback import LoopAnalysis, Topology
+from repro.analog.feedback import LoopAnalysis
 from repro.analog.netlist import (
     Circuit,
     equivalent_resistance,
@@ -50,7 +50,7 @@ from repro.visual.schematic import (
     resistor_network_scene,
 )
 from repro.visual.table import equation_scene, table_scene
-from repro.visual.waveform import curve_scene, step_response_scene
+from repro.visual.waveform import step_response_scene
 
 
 def _visual(visual_type: VisualType, description: str, scene) -> VisualContent:

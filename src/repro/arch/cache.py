@@ -1,15 +1,13 @@
-"""Set-associative cache model: address decomposition and hit/miss simulation.
+"""Set-associative cache model: address decomposition and AMAT.
 
 Provides the address-breakdown arithmetic (tag / index / offset widths) that
-exam questions drill, plus a trace-driven simulator with LRU/FIFO
-replacement and AMAT (average memory access time) arithmetic.
+exam questions drill, plus AMAT (average memory access time) arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 
 def _log2_exact(value: int, what: str) -> int:
@@ -73,55 +71,6 @@ class CacheGeometry:
             hi -= self.index_bits
         layout.append(("OFFSET", hi, 0))
         return layout
-
-
-class Cache:
-    """Trace-driven set-associative cache with LRU or FIFO replacement."""
-
-    def __init__(self, geometry: CacheGeometry, policy: str = "LRU"):
-        policy = policy.upper()
-        if policy not in ("LRU", "FIFO"):
-            raise ValueError(f"unknown replacement policy {policy!r}")
-        self.geometry = geometry
-        self.policy = policy
-        # each set: OrderedDict tag -> None, least-recent first
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(geometry.num_sets)
-        ]
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, address: int) -> bool:
-        """Access a byte address; returns ``True`` on hit."""
-        tag, index, _ = self.geometry.decompose(address)
-        ways = self._sets[index]
-        if tag in ways:
-            self.hits += 1
-            if self.policy == "LRU":
-                ways.move_to_end(tag)
-            return True
-        self.misses += 1
-        if len(ways) >= self.geometry.associativity:
-            ways.popitem(last=False)  # evict least-recent / oldest
-        ways[tag] = None
-        return False
-
-    def run(self, addresses: Sequence[int]) -> List[bool]:
-        return [self.access(a) for a in addresses]
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        if not self.accesses:
-            raise ValueError("no accesses yet")
-        return self.misses / self.accesses
-
-    @property
-    def hit_rate(self) -> float:
-        return 1.0 - self.miss_rate
 
 
 def amat(hit_time: float, miss_rate: float, miss_penalty: float) -> float:

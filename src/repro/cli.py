@@ -48,10 +48,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _print_cache_stats(stats) -> None:
     """Dump one run's perception-substrate cache counters and stage
-    timers (docs/PERF.md): a :class:`~repro.core.runner.RunStats`'s,
-    or a sweep report's snapshot-shaped dict.  They count that run
+    timers (docs/PERF.md) from its :class:`~repro.core.runner.RunStats`
+    (a scaled sweep's covers every window).  They count that run
     alone, worker processes included, on every backend."""
-    counters = dict(stats if isinstance(stats, dict) else stats.perf_caches)
+    counters = dict(stats.perf_caches)
     stages = counters.pop(perfstats.STAGE_TIMINGS_NAME, None)
     print(f"\n{'cache':<12}{'hits':>8}{'misses':>8}{'evict':>7}"
           f"{'size':>7}{'spill':>7}{'hit rate':>10}")
@@ -333,20 +333,16 @@ def _print_resilience_warnings(stats) -> None:
               f"shared-store entrie(s) quarantined and rebuilt")
 
 
-def _write_metrics(args: argparse.Namespace, stats,
-                   perf_caches: Optional[Dict[str, Dict[str, int]]] = None
-                   ) -> None:
+def _write_metrics(args: argparse.Namespace, stats) -> None:
     """Honour ``--metrics-out``: write the run's counters as Prometheus
     text exposition (the batch-side twin of the service's ``/metrics``
-    endpoint; see docs/SERVICE.md).  ``perf_caches`` replaces the
-    cache counters of ``stats`` (a scaled sweep's cover all windows)."""
+    endpoint; see docs/SERVICE.md)."""
     path = getattr(args, "metrics_out", None)
     if not path:
         return
     from repro.service.metrics import render_prometheus
 
-    written = results_io.atomic_write_text(
-        path, render_prometheus(stats, perf_caches))
+    written = results_io.atomic_write_text(path, render_prometheus(stats))
     print(f"\nmetrics -> {written}")
 
 
@@ -470,11 +466,11 @@ def _cmd_table2_scaled(args: argparse.Namespace) -> int:
         print(f"run artifacts -> {args.run_dir} "
               f"(checkpoints + manifest.json; audit with "
               f"`repro verify-run {args.run_dir}`)")
-    _print_resilience_warnings(runner.last_stats)
-    _write_metrics(args, runner.last_stats, report.perf_caches)
+    _print_resilience_warnings(report.stats)
+    _write_metrics(args, report.stats)
     if args.cache_stats:
-        _print_cache_stats(report.perf_caches)
-        _print_coordinator_stats(runner.last_stats)
+        _print_cache_stats(report.stats)
+        _print_coordinator_stats(report.stats)
     return 0
 
 

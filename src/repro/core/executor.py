@@ -14,10 +14,11 @@ by the GIL no matter how many workers it has.  This module gives
 * :class:`AsyncBackend` — a single asyncio event loop holding many
   provider calls in flight at once: the API-bound regime (remote
   endpoints), where concurrency is bounded by the provider's request
-  budget rather than cores.  Built on the async provider seam
-  (:mod:`repro.models.providers`): sync providers adapt via
-  ``as_async_provider``, and an ``AsyncCallScheduler`` adds
-  per-provider token-bucket pacing and hedged requests.
+  budget rather than cores.  Each provider call goes through an
+  ``AsyncCallScheduler`` (:mod:`repro.models.providers`), which awaits
+  a provider's own ``answer_batch_async`` or runs its ``answer_batch``
+  on a worker thread, and adds per-provider token-bucket pacing and
+  hedged requests.
 
 Processes cannot share live objects, so the process backend ships each
 unit as a picklable :class:`UnitSpec` — a provider *registry name* (or,
@@ -686,10 +687,10 @@ class AsyncBackend:
     far exceed the core count (concurrency is bounded by the endpoint's
     request budget, not the GIL).
 
-    The backend owns the scheduling policy the async provider seam
-    offers: ``rate_limit_per_s``/``rate_burst`` build per-provider
-    token buckets the scheduler *awaits* before dispatching (client-
-    side pacing), and ``hedge_after_s``/``max_hedges`` duplicate
+    The backend owns the scheduling policy of the async call path:
+    ``rate_limit_per_s``/``rate_burst`` build per-provider token
+    buckets the scheduler *awaits* before dispatching (client-side
+    pacing), and ``hedge_after_s``/``max_hedges`` duplicate
     straggling calls, first success wins.  :meth:`make_scheduler`
     builds one fresh :class:`AsyncCallScheduler` per run so telemetry
     never bleeds across runs.

@@ -187,24 +187,6 @@ def load(path: "Path | str") -> EvalResult:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
-def load_run(out_dir: "Path | str") -> Dict[str, Dict[str, EvalResult]]:
-    """Read a directory of result files, one :func:`save`-d
-    ``<model>__<setting>.jsonl`` per cell, back into a run tree.
-
-    The stem is split on the *last* ``__`` (settings never contain
-    ``__``; model names may), so ``llava__next__no_choice.jsonl`` maps
-    back to model ``llava__next``.
-    """
-    out_dir = Path(out_dir)
-    results: Dict[str, Dict[str, EvalResult]] = {}
-    for path in sorted(out_dir.glob("*__*.jsonl")):
-        model_name, _, setting = path.stem.rpartition("__")
-        results.setdefault(model_name, {})[setting] = load(path)
-    if not results:
-        raise ValueError(f"no result files in {out_dir}")
-    return results
-
-
 # -- integrity audit ----------------------------------------------------------
 
 @dataclass(frozen=True)

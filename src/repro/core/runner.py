@@ -299,6 +299,20 @@ class RunStats:
         with self._lock:
             return dict(self._coordinator)
 
+    def absorb(self, other: "RunStats") -> None:
+        """Add another run's unit stats and fleet counters (a sweep
+        window's).  Fleet counters are summed, except ``nodes``, which
+        is the fleet width; cache counters are not touched, because a
+        run's scope already folds into the scope enclosing it."""
+        units, counters = other.units(), other.coordinator
+        with self._lock:
+            for unit in units:
+                self._units[unit.unit_id] = unit
+            for key, value in counters.items():
+                self._coordinator[key] = (
+                    value if key == "nodes"
+                    else self._coordinator.get(key, 0) + value)
+
     def total_wall_time(self) -> float:
         return sum(u.wall_time_s for u in self.units())
 

@@ -32,7 +32,7 @@ from repro.core import perfstats
 from repro.core.databuild import StreamingDataset
 from repro.core.engine import build_driver
 from repro.core.metrics import EvalResult, MultiSampleResult
-from repro.core.runner import ParallelRunner, WorkUnit
+from repro.core.runner import ParallelRunner, RunStats, WorkUnit
 
 if TYPE_CHECKING:
     from repro.core.coordinator import SweepCoordinator
@@ -92,7 +92,11 @@ class SweepReport:
 
     ``results[model][setting]`` is a
     :class:`~repro.core.metrics.MultiSampleResult` whose samples hold
-    the full record sequence in global question order.
+    the full record sequence in global question order.  ``stats`` is
+    one :class:`~repro.core.runner.RunStats` for the whole sweep: every
+    window's unit stats, the fleet counters summed over windows, and
+    the sweep's own scope as ``perf``, whose snapshot is
+    ``perf_caches``.
     """
 
     dataset_name: str
@@ -102,6 +106,7 @@ class SweepReport:
     results: Dict[str, Dict[str, MultiSampleResult]]
     peak_resident_questions: int = 0
     perf_caches: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    stats: RunStats = field(default_factory=RunStats)
 
     def table2_results(self) -> Dict[str, Dict[str, EvalResult]]:
         """Sample-0 results in ``run_table2``'s return shape."""
@@ -209,10 +214,11 @@ def run_scaled_table2(
     (true build/eval parallelism on CPython — see
     :class:`~repro.core.pipeline.ShardPrefetcher`).
 
-    Returns a :class:`SweepReport` whose ``perf_caches`` count this
-    sweep alone, in its :func:`repro.core.perfstats.scope` rooted at
-    ``spill_dir`` (the ``dataset_build`` entry shows build-cache
-    hits/misses/spills for the whole sweep).
+    Returns a :class:`SweepReport` whose ``stats`` and ``perf_caches``
+    count this sweep alone, every window of it, in its
+    :func:`repro.core.perfstats.scope` rooted at ``spill_dir`` (the
+    ``dataset_build`` entry shows build-cache hits/misses/spills for
+    the whole sweep).
     """
     from repro.core.harness import EvaluationHarness
     from repro.models.vlm import NO_CHOICE, WITH_CHOICE
@@ -269,7 +275,8 @@ def run_scaled_table2(
                     setting=setting)
                 accumulators[(base, setting, s)] = result
                 multi.add_sample(result)
-    with perfstats.scope(spill_dir) as tally:
+    stats = RunStats()
+    with perfstats.scope(spill_dir) as stats.perf:
         prefetcher = None
         if prefetch:
             from repro.core.pipeline import ShardPrefetcher
@@ -307,6 +314,7 @@ def run_scaled_table2(
                                     setting=setting))
                                 keys.append((base, setting, s))
                 outcome = runner.run(units).raise_on_failure()
+                stats.absorb(outcome.stats)
                 for unit, key in zip(units, keys):
                     accumulators[key].records.extend(
                         outcome.result_for(unit).records)
@@ -322,6 +330,7 @@ def run_scaled_table2(
         peak_resident_questions=max(
             streams[setting].peak_resident_questions
             for setting in settings),
-        perf_caches=tally.snapshot(),
+        perf_caches=stats.perf_caches,
+        stats=stats,
     )
     return report

@@ -8,10 +8,10 @@ used by question generators and the critical-path timing questions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.digital.expr import And, Const, Expr, Not, Or, Var, Xor
+from repro.digital.expr import And, Expr, Not, Or, Var, Xor
 
 _GATE_FUNCS: Dict[str, Callable[[Sequence[bool]], bool]] = {
     "AND": lambda ins: all(ins),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.core.question import AnswerKind, AnswerSpec, Question
 from repro.digital.expr import equivalent_text

@@ -10,8 +10,8 @@ manual path is an explicit registry of per-question verdict overrides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.prompts import JUDGE_SYSTEM_PROMPT, judge_prompt
 from repro.core.question import Question

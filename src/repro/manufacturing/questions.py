@@ -11,7 +11,6 @@ Visual budget (DESIGN.md): 8 layouts, 3 structures, 3 figures, 3 diagrams,
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
 from repro.core.question import (
@@ -32,7 +31,6 @@ from repro.visual.layout import cross_section_scene, layout_scene, mask_pattern_
 from repro.visual.resolution import infer_legibility_scale
 from repro.visual.scene import translate
 from repro.visual.table import equation_scene, table_scene
-from repro.visual.waveform import curve_scene
 
 
 def _visual(visual_type: VisualType, description: str, scene) -> VisualContent:

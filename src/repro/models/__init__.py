@@ -8,16 +8,12 @@ from repro.models.llm import LlmBackbone
 from repro.models.projector import Projector
 from repro.models.providers import (
     AsyncCallScheduler,
-    AsyncModelProvider,
-    AsyncProviderAdapter,
-    ContinuousBatcher,
     HedgePolicy,
     LocalProvider,
     ModelProvider,
     ProviderRegistry,
     RemoteStubProvider,
     TokenBucket,
-    as_async_provider,
     as_provider,
     create_provider,
     default_registry,
@@ -44,16 +40,12 @@ from repro.models.zoo import (
 __all__ = [
     "VisualEncoder",
     "ModelProvider",
-    "AsyncModelProvider",
-    "AsyncProviderAdapter",
     "AsyncCallScheduler",
-    "ContinuousBatcher",
     "HedgePolicy",
     "TokenBucket",
     "LocalProvider",
     "RemoteStubProvider",
     "ProviderRegistry",
-    "as_async_provider",
     "as_provider",
     "create_provider",
     "default_registry",

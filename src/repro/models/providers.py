@@ -17,15 +17,13 @@ manifests stay serializable), and two implementations:
   resilience layer (retry, breakers, deadlines, quarantine) exercises
   realistic fault profiles.
 
-The API-bound regime (remote endpoints) additionally gets an **async
-seam**: an :class:`AsyncModelProvider` protocol (``answer_batch_async``)
-with :func:`as_async_provider` adapting any sync provider, a
-:class:`TokenBucket` rate limiter, an :class:`AsyncCallScheduler`
-(per-provider pacing plus :class:`HedgePolicy` request hedging), and a
-:class:`ContinuousBatcher` that keeps a rolling in-flight window full,
-refilling batches the moment slots drain (see
-``benchmarks/bench_continuous_batching.py``).  The executor's
-``AsyncBackend`` is built on these pieces.
+The API-bound regime (remote endpoints) additionally gets one **async
+call path**: an :class:`AsyncCallScheduler` awaits a provider's own
+``answer_batch_async`` when it defines one and otherwise runs its
+``answer_batch`` on a worker thread, pacing each provider name with a
+:class:`TokenBucket` and duplicating stragglers under a
+:class:`HedgePolicy` (see ``benchmarks/bench_hedging.py``).  The
+executor's ``AsyncBackend`` is built on it.
 
 Provider identity is content-addressed: :meth:`config_fingerprint`
 digests everything answer behaviour depends on, and the run cache folds
@@ -39,10 +37,9 @@ import hashlib
 import json
 import threading
 import time
-from collections import deque
 from typing import (
-    TYPE_CHECKING, Awaitable, Callable, Deque, Dict, List, Optional,
-    Protocol, Sequence, Set, runtime_checkable,
+    TYPE_CHECKING, Awaitable, Callable, Dict, List, Optional, Protocol,
+    Sequence, Set, runtime_checkable,
 )
 
 from repro.core import perfstats
@@ -462,93 +459,7 @@ class RemoteStubProvider:
                 f"transient_rate={self.transient_rate})")
 
 
-# -- async seam ---------------------------------------------------------------
-
-
-@runtime_checkable
-class AsyncModelProvider(Protocol):
-    """What the asyncio evaluation path requires of a serving path.
-
-    The async twin of :class:`ModelProvider`: same identity pair
-    (``name`` plus :meth:`config_fingerprint`), same one-answer-per-
-    question-in-order contract, but ``answer_batch_async`` is awaitable
-    so one event loop can hold many endpoint calls in flight at once —
-    the substrate for continuous batching, hedging and token-bucket
-    pacing.  Sync providers are coerced via :func:`as_async_provider`;
-    because the adapter preserves fingerprints, cache and checkpoint
-    identity never depends on which seam served a call.
-    """
-
-    name: str
-
-    def config_fingerprint(self) -> str:
-        """Digest of everything answer behaviour depends on."""
-        ...  # pragma: no cover - protocol stub
-
-    async def answer_batch_async(
-            self, questions: Sequence[Question], setting: str,
-            resolution_factor: int = 1,
-            use_raster: bool = True) -> List[ModelAnswer]:
-        """Answer every question; one answer per question, in order."""
-        ...  # pragma: no cover - protocol stub
-
-
-class AsyncProviderAdapter:
-    """Async façade over a synchronous provider.
-
-    ``answer_batch_async`` runs the wrapped provider's blocking
-    ``answer_batch`` on a worker thread (``asyncio.to_thread``), so a
-    blocking transport overlaps with other in-flight calls instead of
-    stalling the event loop.  The adapter is transport-only: ``name``
-    and :meth:`config_fingerprint` delegate unchanged — which is what
-    keeps run-cache keys and golden checkpoints byte-identical whichever
-    seam served the call — and the sync ``answer_batch`` passes through,
-    so an adapted provider still satisfies :class:`ModelProvider`.
-    """
-
-    def __init__(self, inner: object):
-        self.inner = as_provider(inner)
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    def config_fingerprint(self) -> str:
-        return self.inner.config_fingerprint()
-
-    def answer_batch(self, questions: Sequence[Question], setting: str,
-                     resolution_factor: int = 1,
-                     use_raster: bool = True) -> List[ModelAnswer]:
-        return self.inner.answer_batch(questions, setting,
-                                       resolution_factor,
-                                       use_raster=use_raster)
-
-    async def answer_batch_async(
-            self, questions: Sequence[Question], setting: str,
-            resolution_factor: int = 1,
-            use_raster: bool = True) -> List[ModelAnswer]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self.inner.answer_batch, questions, setting,
-            resolution_factor, use_raster=use_raster)
-
-    def __repr__(self) -> str:
-        return f"AsyncProviderAdapter({self.inner!r})"
-
-
-def as_async_provider(model: object) -> AsyncModelProvider:
-    """Coerce a model-or-provider into an :class:`AsyncModelProvider`.
-
-    Natively async providers (anything exposing ``answer_batch_async``
-    plus ``config_fingerprint`` — e.g. :class:`RemoteStubProvider`)
-    pass through untouched; everything else is first coerced through
-    :func:`as_provider` and wrapped in an :class:`AsyncProviderAdapter`.
-    """
-    if callable(getattr(model, "answer_batch_async", None)) and callable(
-            getattr(model, "config_fingerprint", None)):
-        return model  # type: ignore[return-value]
-    return AsyncProviderAdapter(as_provider(model))
+# -- async call path --------------------------------------------------------
 
 
 class TokenBucket:
@@ -662,19 +573,22 @@ class HedgePolicy:
 class AsyncCallScheduler:
     """Rate-limit-aware, optionally hedged dispatcher for provider calls.
 
-    The scheduling seam shared by :class:`ContinuousBatcher` and the
-    executor's ``AsyncBackend``: every provider call funnels through
+    The executor's ``AsyncBackend`` sends every provider call through
     :meth:`call`, which
 
-    1. coerces the provider to the async protocol,
-    2. awaits a per-provider :class:`TokenBucket` when ``rate_limit_per_s``
+    1. awaits a per-provider :class:`TokenBucket` when ``rate_limit_per_s``
        is configured — client-side pacing that keeps a sweep under a
        provider's request budget instead of burning retries on 429s
-       (hedged duplicates pay for their own tokens), and
+       (hedged duplicates pay for their own tokens),
+    2. calls the provider: its own ``answer_batch_async`` when it
+       defines one (:class:`RemoteStubProvider` does), else its blocking
+       ``answer_batch`` on a worker thread (``asyncio.to_thread``), so
+       the call overlaps the others in flight instead of stalling the
+       event loop, and
     3. applies the :class:`HedgePolicy`, if any: a duplicate launches
        once the call has been in flight ``after_s`` seconds, the first
-       *successful* copy wins and the rest are cancelled.  A copy routed
-       through ``asyncio.to_thread`` cannot be interrupted mid-call; its
+       *successful* copy wins and the rest are cancelled.  A copy
+       running on a worker thread cannot be interrupted mid-call; its
        result is simply discarded when cancellation lands.
 
     Errors keep unhedged semantics: only when every copy fails does the
@@ -715,19 +629,26 @@ class AsyncCallScheduler:
                 self._buckets[provider_name] = bucket
             return bucket
 
-    async def call(self, provider: object, questions: Sequence[Question],
-                   setting: str, resolution_factor: int = 1,
+    async def call(self, provider: ModelProvider,
+                   questions: Sequence[Question], setting: str,
+                   resolution_factor: int = 1,
                    use_raster: bool = True) -> List[ModelAnswer]:
         """Dispatch one (possibly hedged, rate-paced) provider call."""
-        async_provider = as_async_provider(provider)
-        bucket = self.bucket_for(async_provider.name)
+        bucket = self.bucket_for(provider.name)
+        answer_async = getattr(provider, "answer_batch_async", None)
 
         async def attempt() -> List[ModelAnswer]:
             if bucket is not None:
                 await bucket.acquire(sleep=self._async_sleep)
-            return await async_provider.answer_batch_async(
-                questions, setting, resolution_factor,
-                use_raster=use_raster)
+            if answer_async is not None:
+                return await answer_async(questions, setting,
+                                          resolution_factor,
+                                          use_raster=use_raster)
+            import asyncio
+
+            return await asyncio.to_thread(
+                provider.answer_batch, questions, setting,
+                resolution_factor, use_raster=use_raster)
 
         self.calls += 1
         if self.hedge is None:
@@ -772,151 +693,6 @@ class AsyncCallScheduler:
             for task in tasks:
                 if not task.done():
                     task.cancel()
-
-
-class ContinuousBatcher:
-    """Continuous (rolling-refill) batching over async providers.
-
-    A coalesce-then-drain batcher lets a batch fill (or time out), has
-    one inner call serve it, and opens the next batch only when that
-    call returns — at high endpoint latency the pipeline idles a full
-    round-trip per batch.  This is the vLLM-style serve/route
-    alternative for the asyncio path: up to ``max_in_flight`` inner
-    calls run concurrently and the moment one completes its slot is
-    refilled from the pending queue, so the in-flight window never
-    drains to empty while work remains
-    (``benchmarks/bench_continuous_batching.py`` measures it against
-    unbatched per-question calls).
-
-    Submissions are grouped by (provider, setting, resolution, raster
-    mode): a dispatched batch is always homogeneous — one provider, one
-    evaluation context — and never exceeds ``max_batch_size``
-    questions.  Both invariants, plus exactly-once completion of every
-    submission, are property-tested under arbitrary arrival/drain
-    interleavings in ``tests/test_continuous_batching.py``.  An
-    optional :class:`AsyncCallScheduler` routes dispatches through
-    per-provider token buckets and hedging.
-
-    Single-loop discipline: all state is touched only from the event
-    loop that owns the batcher (no locks); ``submit`` must be awaited
-    on that loop.
-    """
-
-    def __init__(self, max_batch_size: int = 16, max_in_flight: int = 4,
-                 scheduler: Optional[AsyncCallScheduler] = None):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        self.max_batch_size = max_batch_size
-        self.max_in_flight = max_in_flight
-        self.scheduler = scheduler
-        self._pending: Deque[Dict[str, object]] = deque()
-        self._in_flight = 0
-        self._tasks: Set["asyncio.Task[None]"] = set()
-        #: telemetry: batches dispatched, questions they carried, the
-        #: concurrency high-water mark, and how many batches launched
-        #: from a completion slot (the continuous refills a
-        #: coalesce-then-drain design never gets)
-        self.batches = 0
-        self.batched_questions = 0
-        self.peak_in_flight = 0
-        self.refills = 0
-
-    @property
-    def in_flight(self) -> int:
-        """Inner calls currently out."""
-        return self._in_flight
-
-    def pending_count(self) -> int:
-        """Submissions queued but not yet dispatched."""
-        return len(self._pending)
-
-    async def submit(self, provider: object, question: Question,
-                     setting: str, resolution_factor: int = 1,
-                     use_raster: bool = True) -> ModelAnswer:
-        """Submit one question; resolves when its batch's call returns.
-
-        The submission joins the pending queue and is swept into the
-        next homogeneous batch with a free in-flight slot — immediately
-        if one is free now, otherwise the moment a completing call
-        refills.
-        """
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        entry: Dict[str, object] = {
-            "provider": provider,
-            "question": question,
-            "key": (id(provider), setting, resolution_factor, use_raster),
-            "future": loop.create_future(),
-        }
-        self._pending.append(entry)
-        self._pump()
-        return await entry["future"]  # type: ignore[misc]
-
-    def _pump(self, refill: bool = False) -> None:
-        """Launch homogeneous batches while slots and work remain."""
-        import asyncio
-
-        while self._in_flight < self.max_in_flight and self._pending:
-            key = self._pending[0]["key"]
-            batch: List[Dict[str, object]] = []
-            rest: Deque[Dict[str, object]] = deque()
-            for entry in self._pending:
-                if entry["key"] == key and len(batch) < self.max_batch_size:
-                    batch.append(entry)
-                else:
-                    rest.append(entry)
-            self._pending = rest
-            self._in_flight += 1
-            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
-            self.batches += 1
-            self.batched_questions += len(batch)
-            if refill:
-                self.refills += 1
-            task = asyncio.ensure_future(self._dispatch(batch))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-
-    async def _dispatch(self, batch: List[Dict[str, object]]) -> None:
-        import asyncio
-
-        provider = batch[0]["provider"]
-        _, setting, resolution_factor, use_raster = batch[0]["key"]
-        questions = [entry["question"] for entry in batch]
-        try:
-            if self.scheduler is not None:
-                answers = await self.scheduler.call(
-                    provider, questions, setting, resolution_factor,
-                    use_raster=use_raster)
-            else:
-                answers = await as_async_provider(
-                    provider).answer_batch_async(
-                        questions, setting, resolution_factor,
-                        use_raster=use_raster)
-            for entry, answer in zip(batch, answers):
-                future = entry["future"]
-                if not future.done():  # type: ignore[union-attr]
-                    future.set_result(answer)  # type: ignore[union-attr]
-        except asyncio.CancelledError:
-            for entry in batch:
-                future = entry["future"]
-                if not future.done():  # type: ignore[union-attr]
-                    future.cancel()  # type: ignore[union-attr]
-            raise
-        except Exception as exc:  # propagate to every waiter
-            for entry in batch:
-                future = entry["future"]
-                if not future.done():  # type: ignore[union-attr]
-                    future.set_exception(exc)  # type: ignore[union-attr]
-        finally:
-            self._in_flight -= 1
-            self._pump(refill=True)
-
-    def __repr__(self) -> str:
-        return (f"ContinuousBatcher(max_batch_size={self.max_batch_size}, "
-                f"max_in_flight={self.max_in_flight})")
 
 
 # -- registry ---------------------------------------------------------------

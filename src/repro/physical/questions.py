@@ -27,7 +27,7 @@ from repro.core.question import (
 from repro.physical import cts, drc, floorplan, placement, steiner
 from repro.physical.geometry import Point, Rect, hpwl
 from repro.physical.maze import RoutingGrid, bends
-from repro.physical.sta import TimingGraph, chain_graph
+from repro.physical.sta import TimingGraph
 from repro.visual.diagram import (
     block_diagram_scene,
     flow_chart_scene,

@@ -8,7 +8,7 @@ mechanics Physical Design questions test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,3 @@ class TimingGraph:
         """Smallest period: clk-to-q + longest combinational path + setup."""
         _, delay = self.critical_path()
         return clk_to_q + delay + setup_time
-
-
-def chain_graph(delays: Sequence[float]) -> TimingGraph:
-    """A linear chain n0 -> n1 -> ... with the given stage delays."""
-    graph = TimingGraph()
-    for index, delay in enumerate(delays):
-        graph.arc(f"n{index}", f"n{index + 1}", delay)
-    return graph

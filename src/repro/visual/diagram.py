@@ -8,7 +8,7 @@ clock/Steiner tree figures.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.visual.scene import Scene
 

@@ -8,7 +8,7 @@ Manufacturing questions (etch stacks, photoresist patterns).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.visual.scene import Scene
 

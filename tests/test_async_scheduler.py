@@ -1,22 +1,19 @@
-"""Property-based and unit tests for the async provider seam: the
-continuous batcher's exactly-once/capacity/homogeneity invariants under
-arbitrary arrival-drain interleavings (hypothesis), token-bucket
-pacing, and hedged-request semantics."""
+"""Unit tests for the async call path's scheduling policy: token-bucket
+pacing and hedged-request semantics.  Every provider here defines
+``answer_batch_async``, so these cover the scheduler's native branch;
+``tests/test_provider_contract.py`` covers the worker-thread branch
+over every registry entry."""
 
 import asyncio
 import itertools
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.faults import TransientModelError
 from repro.models import (
-    NO_CHOICE,
     WITH_CHOICE,
     AsyncCallScheduler,
-    ContinuousBatcher,
     HedgePolicy,
     TokenBucket,
 )
@@ -24,7 +21,7 @@ from repro.models import (
 
 class _RecordingAsyncProvider:
     """Echo provider: answers after a scripted number of event-loop
-    yields, recording every dispatched batch for invariant checks."""
+    yields, recording every dispatched batch."""
 
     def __init__(self, name, delays):
         self.name = name
@@ -32,7 +29,7 @@ class _RecordingAsyncProvider:
         self._delays = delays
 
     def config_fingerprint(self):
-        """Constant fingerprint; batching keys on identity, not this."""
+        """Constant fingerprint."""
         return "f" * 64
 
     async def answer_batch_async(self, questions, setting,
@@ -44,157 +41,6 @@ class _RecordingAsyncProvider:
                            resolution_factor, use_raster))
         return [f"{self.name}:{q}:{setting}:{resolution_factor}"
                 for q in questions]
-
-
-CONTEXTS = [(WITH_CHOICE, 1, False), (NO_CHOICE, 2, True)]
-
-
-class TestContinuousBatcherProperties:
-    """The satellite property test: under arbitrary interleavings of
-    arrivals and drains, every submitted unit of work is answered
-    exactly once, no dispatched batch exceeds capacity, and batches
-    are never heterogeneous across providers (or contexts)."""
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        max_batch_size=st.integers(min_value=1, max_value=4),
-        max_in_flight=st.integers(min_value=1, max_value=3),
-        subs=st.lists(
-            st.tuples(st.integers(0, 2), st.integers(0, 1),
-                      st.integers(0, 3)),
-            min_size=1, max_size=24),
-        delays=st.lists(st.integers(0, 4), min_size=1, max_size=24),
-    )
-    def test_exactly_once_capacity_homogeneity(
-            self, max_batch_size, max_in_flight, subs, delays):
-        delay_iter = itertools.cycle(delays)
-        providers = [_RecordingAsyncProvider(f"p{i}", delay_iter)
-                     for i in range(3)]
-        batcher = ContinuousBatcher(max_batch_size=max_batch_size,
-                                    max_in_flight=max_in_flight)
-
-        async def submit_one(idx, provider_idx, context_idx, pre_delay):
-            for _ in range(pre_delay):
-                await asyncio.sleep(0)
-            setting, factor, raster = CONTEXTS[context_idx]
-            answer = await batcher.submit(
-                providers[provider_idx], f"q{idx}", setting, factor,
-                use_raster=raster)
-            return idx, provider_idx, context_idx, answer
-
-        async def main():
-            return await asyncio.gather(*[
-                submit_one(i, p, c, d)
-                for i, (p, c, d) in enumerate(subs)])
-
-        results = asyncio.run(main())
-
-        # Exactly once, each with its own provider/context answer.
-        assert len(results) == len(subs)
-        for idx, p_idx, c_idx, answer in results:
-            setting, factor, _ = CONTEXTS[c_idx]
-            assert answer == f"p{p_idx}:q{idx}:{setting}:{factor}"
-        dispatched = [q for provider in providers
-                      for batch, _, _, _ in provider.calls
-                      for q in batch]
-        assert sorted(dispatched) == sorted(
-            f"q{i}" for i in range(len(subs)))
-
-        # Capacity and homogeneity per dispatched batch.
-        for p_idx, provider in enumerate(providers):
-            for batch, setting, factor, raster in provider.calls:
-                assert 1 <= len(batch) <= max_batch_size
-                for question in batch:
-                    sub_provider, sub_context, _ = subs[
-                        int(question[1:])]
-                    assert sub_provider == p_idx
-                    assert CONTEXTS[sub_context] == (
-                        setting, factor, raster)
-
-        # The window drained completely and never overfilled.
-        assert batcher.in_flight == 0
-        assert batcher.pending_count() == 0
-        assert batcher.peak_in_flight <= max_in_flight
-
-
-class TestContinuousBatcherUnit:
-    """Deterministic (non-property) batcher behaviors."""
-
-    def test_rolling_refill_overlaps_calls(self):
-        provider = _RecordingAsyncProvider("p", itertools.cycle([3]))
-        batcher = ContinuousBatcher(max_batch_size=2, max_in_flight=2)
-
-        async def main():
-            return await asyncio.gather(*[
-                batcher.submit(provider, f"q{i}", WITH_CHOICE)
-                for i in range(8)])
-
-        answers = asyncio.run(main())
-        assert len(answers) == 8
-        assert batcher.peak_in_flight == 2
-        assert batcher.refills > 0
-        # Early arrivals dispatch eagerly (possibly as singletons);
-        # once the window is full, drained slots refill with full
-        # batches — never more batches than submissions.
-        assert 4 <= batcher.batches <= 8
-        assert batcher.batched_questions == 8
-
-    def test_dispatch_error_reaches_every_cobatched_waiter(self):
-        class _FailingProvider:
-            """Async provider whose dispatch always raises."""
-
-            name = "failing"
-
-            def config_fingerprint(self):
-                """Constant fingerprint."""
-                return "a" * 64
-
-            async def answer_batch_async(self, questions, setting,
-                                         resolution_factor=1,
-                                         use_raster=True):
-                """Fail after one yield so both waiters co-batch."""
-                await asyncio.sleep(0)
-                raise TransientModelError("boom")
-
-        batcher = ContinuousBatcher(max_batch_size=4, max_in_flight=1)
-        provider = _FailingProvider()
-
-        async def main():
-            return await asyncio.gather(
-                *[batcher.submit(provider, f"q{i}", WITH_CHOICE)
-                  for i in range(3)],
-                return_exceptions=True)
-
-        outcomes = asyncio.run(main())
-        assert len(outcomes) == 3
-        assert all(isinstance(o, TransientModelError) for o in outcomes)
-        assert batcher.in_flight == 0
-
-    def test_sync_provider_adapts_transparently(self):
-        class _SyncEcho:
-            """Sync-only provider; the batcher must adapt it."""
-
-            name = "sync-echo"
-
-            def config_fingerprint(self):
-                """Constant fingerprint."""
-                return "b" * 64
-
-            def answer_batch(self, questions, setting,
-                             resolution_factor=1, use_raster=True):
-                """Echo the questions."""
-                return list(questions)
-
-        batcher = ContinuousBatcher(max_batch_size=4)
-        answers = asyncio.run(asyncio.wait_for(
-            batcher.submit(_SyncEcho(), "q0", WITH_CHOICE), timeout=10))
-        assert answers == "q0"
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ContinuousBatcher(max_batch_size=0)
-        with pytest.raises(ValueError):
-            ContinuousBatcher(max_in_flight=0)
 
 
 class TestTokenBucket:

@@ -569,6 +569,19 @@ class TestMetricsOut:
         capsys.readouterr()
         assert "repro_run_units" in out_path.read_text(encoding="utf-8")
 
+    def test_scaled_unit_counts_cover_every_window(self, tmp_path, capsys):
+        """Three 20-question shards run as three windows of two units
+        (one per setting); the unit families count all six, as the
+        stage families do."""
+        out_path = tmp_path / "metrics.prom"
+        assert main(["table2", "--models", "gpt-4o", "--limit", "60",
+                     "--shard-size", "20",
+                     "--metrics-out", str(out_path)]) == 0
+        capsys.readouterr()
+        text = out_path.read_text(encoding="utf-8")
+        assert 'repro_run_units{status="completed"} 6' in text
+        assert 'repro_stage_calls_total{stage="eval"} 6' in text
+
 
 class TestVerifyRun:
     def _make_run(self, tmp_path):

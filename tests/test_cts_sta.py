@@ -6,7 +6,15 @@ from hypothesis import given, strategies as st
 from repro.physical import cts
 from repro.physical.cts import ClockSink
 from repro.physical.geometry import Point
-from repro.physical.sta import TimingGraph, chain_graph
+from repro.physical.sta import TimingGraph
+
+
+def chain_graph(delays):
+    """A linear chain n0 -> n1 -> ... with the given stage delays."""
+    graph = TimingGraph()
+    for index, delay in enumerate(delays):
+        graph.arc(f"n{index}", f"n{index + 1}", delay)
+    return graph
 
 
 class TestSkew:

@@ -1,9 +1,11 @@
-"""Import hygiene, each check in a fresh interpreter: the collections
-build without networkx, the serial paper path, from the library or
-the CLI, loads neither asyncio nor a process pool (those load where the
-async and process backends first use them), and an inline fleet, which
-never forks, loads no process pool either."""
+"""Import hygiene.  Each load check runs in a fresh interpreter: the
+collections build without networkx, the serial paper path, from the
+library or the CLI, loads neither asyncio nor a process pool (those load
+where the async and process backends first use them), and an inline
+fleet, which never forks, loads no process pool either.  A static check
+fails on any import under ``src/repro`` that its module never uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 #: Modules the serial paper path must never load.
 NOT_ON_SERIAL_PATH = ("networkx", "asyncio", "concurrent.futures.process",
@@ -95,3 +98,65 @@ print(json.dumps({"completed": len(outcome.results),
                              if m in sys.modules]}))
 """)
     assert out == {"completed": 2, "loaded": []}
+
+
+def _names_in(node: ast.AST) -> set:
+    """Names ``node`` mentions, reading each string inside it as code
+    when it parses as an expression (a string annotation or a typing
+    forward reference such as ``Union[ParallelRunner, "Coordinator"]``)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _names_in(ast.parse(sub.value.strip(), mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _unused_imports(path: Path) -> list:
+    """``path:line name`` of each import the module never uses: not in
+    its code, its string annotations and forward references, or its
+    ``__all__``.  A package ``__init__``'s imports are re-exports, and a
+    ``# noqa: F401`` line is exempt."""
+    if path.name == "__init__.py":
+        return []
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if (getattr(node, "module", None) == "__future__"
+                    or any("noqa: F401" in line for line in
+                           lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound.append((node.lineno, name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _names_in(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                used |= _names_in(node.returns)
+        elif isinstance(node, ast.Subscript):
+            used |= _names_in(node.slice)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {elt.value for elt in ast.walk(node.value)
+                     if isinstance(elt, ast.Constant)}
+    rel = path.relative_to(SRC).as_posix()
+    return [f"{rel}:{line} {name}" for line, name in bound
+            if name != "*" and name not in used]
+
+
+def test_no_unused_imports_in_src():
+    unused = [entry for path in sorted(SRC.rglob("*.py"))
+              for entry in _unused_imports(path)]
+    assert not unused, "unused imports: " + ", ".join(unused)

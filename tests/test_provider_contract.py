@@ -22,12 +22,11 @@ from repro.core.question import Category
 from repro.core.runner import ParallelRunner, WorkUnit
 from repro.models import (
     WITH_CHOICE,
-    AsyncModelProvider,
+    AsyncCallScheduler,
     LocalProvider,
     ModelProvider,
     ProviderRegistry,
     RemoteStubProvider,
-    as_async_provider,
     as_provider,
     build_model,
     build_vlm,
@@ -296,39 +295,21 @@ class TestGoldenByteIdentity:
 @pytest.mark.parametrize("name", ALL_PROVIDERS)
 class TestAsyncConformance:
     """Every registry entry passes the conformance suite through the
-    sync-to-async adapter seam (``as_async_provider``): protocol
-    satisfaction, ordering, deterministic replay, and fingerprint
-    identity all hold when driven from an asyncio event loop."""
-
-    def test_satisfies_async_protocol(self, name):
-        provider = as_async_provider(create_provider(name))
-        assert isinstance(provider, AsyncModelProvider)
-        assert provider.name == name
-
-    def test_adapter_preserves_fingerprint(self, name):
-        base = create_provider(name)
-        assert (as_async_provider(base).config_fingerprint()
-                == base.config_fingerprint())
+    async call path: ``AsyncCallScheduler.call`` runs a provider without
+    ``answer_batch_async`` on a worker thread, and ordering and
+    deterministic replay hold when driven from an asyncio event loop."""
 
     def test_async_one_answer_per_question_in_order(self, name, digital):
-        provider = as_async_provider(create_provider(name))
-        answers = asyncio.run(provider.answer_batch_async(
-            digital, WITH_CHOICE, use_raster=False))
+        answers = asyncio.run(AsyncCallScheduler().call(
+            create_provider(name), digital, WITH_CHOICE, use_raster=False))
         assert [a.qid for a in answers] == [q.qid for q in digital]
 
     def test_async_replay_matches_sync(self, name, digital):
         sync_answers = create_provider(name).answer_batch(
             digital, WITH_CHOICE, use_raster=False)
-        async_answers = asyncio.run(
-            as_async_provider(create_provider(name)).answer_batch_async(
-                digital, WITH_CHOICE, use_raster=False))
+        async_answers = asyncio.run(AsyncCallScheduler().call(
+            create_provider(name), digital, WITH_CHOICE, use_raster=False))
         assert async_answers == sync_answers
-
-    def test_native_async_is_not_rewrapped(self, name):
-        """A provider that already speaks the async protocol passes
-        through ``as_async_provider`` untouched."""
-        provider = as_async_provider(create_provider(name))
-        assert as_async_provider(provider) is provider
 
 
 class TestAsyncRemoteStubFaultBoundary:
@@ -372,7 +353,8 @@ class TestAsyncRemoteStubFaultBoundary:
 
     def test_async_matches_sync_fault_pattern(self, digital):
         """Fault draws are keyed, not stateful randomness: the async
-        seam replays the same per-key inject/pass pattern as sync."""
+        transport replays the same per-key inject/pass pattern as
+        sync."""
 
         def pattern(provider, via_async):
             outcomes = []

@@ -1,11 +1,14 @@
 """Every public top-level function and class under ``src/repro`` is
 reached by a flow: other ``src`` code uses it, or ``benchmarks/``,
-``examples/``, ``perfbench/``, the user docs or the top-level
-``repro.__all__`` name it.  A package ``__init__``'s re-exports and
-``__all__`` are not uses (a plain module's own ``__all__`` is its
-declared API and counts), and neither are tests.  A name reached only by
-its own unit test is dead code; delete it (and the tests that check only
-it) rather than add it to the allowlist below."""
+``examples/``, ``perfbench/``, the code in the user docs or the
+top-level ``repro.__all__`` name it.  A user doc counts only the
+identifiers inside its inline code spans and fenced blocks, so a name
+that is also a prose word ("Cache") is not reached by the prose.  A
+package ``__init__``'s re-exports and ``__all__`` are not uses (a plain
+module's own ``__all__`` is its declared API and counts), and neither
+are tests.  A name reached only by its own unit test is dead code;
+delete it (and the tests that check only it) rather than add it to the
+allowlist below."""
 
 import ast
 import re
@@ -32,11 +35,11 @@ ALLOWLIST = {
         "reads back export-figures output",
     ("core/results_io.py", "read_summary"):
         "reads a scaled sweep's sweep_summary.json",
-    ("core/results_io.py", "load_run"):
-        "reads a directory of saved result files",
 }
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
+#: A fenced block, or an inline code span (which may wrap a line).
+_CODE = re.compile(r"```.*?```|`(?:[^`\n]|\n(?!\n))+`", re.S)
 
 
 def _is_export_list(node):
@@ -69,11 +72,15 @@ def _uses(tree, package_init, skip=frozenset()):
     return names
 
 
-def _flow_text():
-    paths = [p for d in FLOW_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
-    paths += [ROOT / name for name in DOCS]
-    paths += sorted((ROOT / "docs").rglob("*.md"))
-    return "\n".join(p.read_text(encoding="utf-8") for p in paths)
+def _flow_words():
+    """Identifiers in the flow files, and in the user docs' code."""
+    code = [p.read_text(encoding="utf-8")
+            for d in FLOW_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    docs = [ROOT / name for name in DOCS]
+    docs += sorted((ROOT / "docs").rglob("*.md"))
+    for path in docs:
+        code += _CODE.findall(path.read_text(encoding="utf-8"))
+    return set(_IDENT.findall("\n".join(code)))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +90,7 @@ def unreached():
              for p in sorted(SRC.rglob("*.py"))}
     uses = {p: _uses(t, p.name == "__init__.py") for p, t in trees.items()}
     roots = set(repro.__all__)
-    flow_words = set(_IDENT.findall(_flow_text()))
+    flow_words = _flow_words()
     found = set()
     for path, tree in trees.items():
         for node in tree.body:

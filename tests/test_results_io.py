@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core import results_io
-from repro.core.harness import EvaluationHarness, run_table2
+from repro.core.harness import EvaluationHarness
 from repro.core.metrics import EvalRecord, EvalResult
 from repro.core.question import Category
 from repro.models import WITH_CHOICE, build_model
@@ -242,33 +242,6 @@ class TestAtomicSave:
         target = tmp_path / "x.txt"
         results_io.atomic_write_text(target, "payload\n")
         assert target.read_text(encoding="utf-8") == "payload\n"
-
-
-class TestRunTree:
-    def test_save_load_run(self, tmp_path):
-        results = run_table2([build_model("kosmos-2")])
-        for setting, result in results["kosmos-2"].items():
-            results_io.save(result, tmp_path / f"kosmos-2__{setting}.jsonl")
-        restored = results_io.load_run(tmp_path)
-        assert set(restored) == {"kosmos-2"}
-        for setting, result in restored["kosmos-2"].items():
-            assert result.pass_at_1() == \
-                results["kosmos-2"][setting].pass_at_1()
-
-    def test_empty_dir_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            results_io.load_run(tmp_path)
-
-    def test_model_name_containing_double_underscore(self, tmp_path):
-        """Regression: the stem is split on the *last* ``__``, so a
-        model named ``llava__next`` round-trips instead of being
-        mis-split into model ``llava`` / setting ``next__no_choice``."""
-        result = _small_result()
-        result.model_name = "llava__next"
-        results_io.save(result, tmp_path / "llava__next__no_choice.jsonl")
-        restored = results_io.load_run(tmp_path)
-        assert set(restored) == {"llava__next"}
-        assert set(restored["llava__next"]) == {"no_choice"}
 
 
 class TestVerify:

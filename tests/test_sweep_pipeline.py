@@ -356,6 +356,8 @@ class TestStageTimings:
         assert misses == {"thread": 3, "process": 3}
 
     def test_cache_stats_prints_the_stage_table(self, capsys):
+        from types import SimpleNamespace
+
         from repro.cli import _print_cache_stats
 
         counters = {
@@ -366,7 +368,7 @@ class TestStageTimings:
                 "eval_ns": 5_000_000, "eval_calls": 4,
             },
         }
-        _print_cache_stats(counters)
+        _print_cache_stats(SimpleNamespace(perf_caches=counters))
         out = capsys.readouterr().out
         assert "dataset_build" in out
         assert "stage" in out
