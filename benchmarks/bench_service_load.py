@@ -15,7 +15,7 @@ Two shapes are pinned:
   status) from the client's perspective;
 * **graceful saturation** — arrivals far past capacity against a
   ``max_pending=2`` queue are *rejected fast* with a 503-style
-  :class:`~repro.service.jobs.JobRejected` (the admission seam), never
+  :class:`~repro.service.jobs.JobRejected` (the queue's backlog cap), never
   queued into an unbounded hang: rejections must come back orders of
   magnitude faster than an evaluation takes, and accepted jobs still
   all complete.
@@ -32,7 +32,6 @@ import time
 
 import pytest
 
-from repro.core.resilience import AdmissionPolicy
 from repro.service.client import EvalServiceClient
 from repro.service.jobs import JobRejected
 from repro.service.server import serve
@@ -156,7 +155,7 @@ def test_saturation_rejects_fast_instead_of_hanging(tmp_path):
     rejected submissions return far faster than an evaluation, and
     every *accepted* job still completes."""
     server = serve(queue_workers=1, run_root=tmp_path / "serve",
-                   admission=AdmissionPolicy(max_pending=2))
+                   max_pending=2)
     try:
         # each job holds the single worker for ~0.4s of simulated
         # latency; a burst of 16 must overflow max_pending=2
@@ -191,7 +190,7 @@ def test_sustained_load_metrics_account_everything(tmp_path):
     submission is exactly one of completed/rejected, and the queue
     drains to idle."""
     server = serve(queue_workers=2, run_root=tmp_path / "serve",
-                   admission=AdmissionPolicy(max_pending=8))
+                   max_pending=8)
     try:
         generator = _LoadGenerator(server.url, rate_per_s=12.0,
                                    jobs=48)

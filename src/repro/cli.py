@@ -169,7 +169,6 @@ _TABLE2_PATHS: Dict[str, Tuple[str, ...]] = {
     "shard_size": ("scaled",),
     "prefetch": ("scaled",),
     "prefetch_builder": ("scaled",),
-    "replicas": ("service",),
     "nodes": ("local", "scaled"),
     "rate_limit": ("local", "scaled"),
     "hedge_after": ("local", "scaled"),
@@ -361,8 +360,7 @@ def _cmd_table2_service(args: argparse.Namespace) -> int:
     from repro.service.jobs import JobRejected
 
     names = args.models or [name for name, _ in TABLE2_ROW_ORDER]
-    spec: dict = {"models": names, "workers": args.workers,
-                  "replicas": args.replicas}
+    spec: dict = {"models": names, "workers": args.workers}
     if args.backend is not None:
         spec["backend"] = args.backend
     if args.latency or args.failure_rate:
@@ -422,9 +420,10 @@ def _cmd_table2_scaled(args: argparse.Namespace) -> int:
     Streams an ``n``-question procedurally scaled collection through
     :func:`repro.core.sweep.run_scaled_table2` shard-by-shard, with
     multi-sample pass@k / consensus@k scoring when ``--samples`` > 1.
-    Only ``--provider local`` applies: sample salting re-registers model
-    clones in the provider registry, which the serving-stack wrappers
-    cannot express.  Without ``--prefetch`` the loop is serial.
+    Only ``--provider local`` applies: the sweep builds its own
+    sample-salted model clones from registry names, which the
+    serving-stack wrappers cannot express.  Without ``--prefetch`` the
+    loop is serial.
     """
     from pathlib import Path
 
@@ -669,8 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--failure-rate", type=_probability, default=0.0,
                     metavar="P",
                     help="simulated transient-failure probability per "
-                         "call (remote provider); absorbed by the "
-                         "runner's retry path")
+                         "call key (remote provider): the draw depends "
+                         "on the setting, resolution and question ids, "
+                         "not the model, so all models' calls over the "
+                         "same questions fault together; absorbed by "
+                         "the runner's retry path")
     p2.add_argument("--workers", type=_count, default=1,
                     help="parallel evaluation workers (1 = serial; "
                          "clamped to this machine's CPU count except "
@@ -771,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "instance at URL instead of executing "
                          "locally; results stream back and render the "
                          "same table (see docs/SERVICE.md)")
-    p2.add_argument("--replicas", type=_count, default=1, metavar="N",
-                    help="serve each model through N load-balanced "
-                         "provider replicas with breaker-aware "
-                         "failover (--service only)")
     p2.add_argument("--metrics-out", default=None, metavar="PATH",
                     help="write the run's counters to PATH as "
                          "Prometheus text exposition (with --service: "

@@ -25,10 +25,10 @@ pieces the :class:`~repro.core.runner.ParallelRunner` wires together:
   the rest of the unit is salvaged;
 * :class:`AdmissionPolicy` — the composition seam: breaker, deadline
   and quarantine folded into one admission/failure policy consumed by
-  the :class:`~repro.core.engine.EvalEngine` per run *and* by the
-  evaluation service (:mod:`repro.service`) per queue — job-backlog
-  rejection, per-tenant deadlines and cooperative cancellation reuse
-  the same primitives batch runs do.
+  the :class:`~repro.core.engine.EvalEngine` per run; the evaluation
+  service (:mod:`repro.service`) builds one per job, so per-tenant
+  deadlines and cooperative cancellation reuse the same primitives
+  batch runs do.
 
 Everything here is thread-safe and clock-injectable; nothing imports
 the runner, so boundaries and tests can compose these pieces freely.
@@ -383,46 +383,35 @@ class QuarantinePolicy:
 
 
 class AdmissionPolicy:
-    """Composable admission/failure policy shared by runs and services.
+    """Composable admission/failure policy of one run.
 
     The three resilience primitives — :class:`CircuitBreaker`,
     :class:`Deadline` and :class:`QuarantinePolicy` — historically
     arrived at the runner as three separate constructor arguments and
     were consulted ad hoc at three different call sites.  An
-    ``AdmissionPolicy`` composes them behind one seam with two faces:
+    ``AdmissionPolicy`` composes them behind one seam:
+    :meth:`refuse_unit` is the unit-admission gate the
+    :class:`~repro.core.engine.EvalEngine` drivers consult before
+    evaluating a unit (breaker fast-fail, cooperative cancellation),
+    :meth:`deadline` mints the per-unit time budget, and
+    :meth:`may_quarantine` arbitrates question-level salvage.
 
-    * **per-run** — :meth:`refuse_unit` is the unit-admission gate the
-      :class:`~repro.core.engine.EvalEngine` drivers consult before
-      evaluating a unit (breaker fast-fail, cooperative cancellation),
-      :meth:`deadline` mints the per-unit time budget, and
-      :meth:`may_quarantine` arbitrates question-level salvage;
-    * **per-service** — :meth:`refuse_request` is the queue-admission
-      gate of the evaluation service (``max_pending`` bounds the job
-      backlog; a refusal becomes an HTTP 503, never a hang), and
-      ``cancelled`` lets a job's cancel event fast-fail its remaining
-      units mid-run.
-
-    ``deadline_s`` doubles as the per-tenant deadline when the service
-    builds one policy per submitted job.  All members are optional; an
-    empty policy admits everything.
+    The evaluation service builds one policy per submitted job:
+    ``deadline_s`` is then the per-tenant deadline, and ``cancelled``
+    lets the job's cancel event fast-fail its remaining units mid-run.
+    All members are optional; an empty policy admits everything.
     """
 
     def __init__(self, breaker: Optional[CircuitBreaker] = None,
                  quarantine: Optional[QuarantinePolicy] = None,
                  deadline_s: Optional[float] = None,
-                 max_pending: Optional[int] = None,
                  cancelled: Optional[Callable[[], bool]] = None):
         if deadline_s is not None and deadline_s < 0:
             raise ValueError("deadline_s must be >= 0")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1 or None")
         self.breaker = breaker
         self.quarantine = quarantine
         self.deadline_s = deadline_s
-        self.max_pending = max_pending
         self.cancelled = cancelled
-
-    # -- per-run face --------------------------------------------------------
 
     def refuse_unit(self, model_key: str) -> Optional[str]:
         """The unit-admission gate: ``None`` admits the unit; a string
@@ -467,30 +456,6 @@ class AdmissionPolicy:
         """Forward a unit failure to the breaker (no-op without one)."""
         if self.breaker is not None:
             self.breaker.record_failure(model_key, error)
-
-    # -- per-service face ----------------------------------------------------
-
-    def refuse_request(self, pending: int) -> Optional[str]:
-        """The queue-admission gate: ``None`` admits a submission with
-        ``pending`` jobs already backlogged; a string refuses it (the
-        service surfaces it as a 503 body)."""
-        if self.max_pending is not None and pending >= self.max_pending:
-            return (f"queue full: {pending} job(s) pending >= "
-                    f"max_pending {self.max_pending}")
-        return None
-
-    def as_dict(self) -> Dict[str, object]:
-        """Manifest/metrics-ready snapshot of the configured gates."""
-        data: Dict[str, object] = {}
-        if self.breaker is not None:
-            data["breaker"] = self.breaker.as_dict()
-        if self.quarantine is not None:
-            data["quarantine_max_per_unit"] = self.quarantine.max_per_unit
-        if self.deadline_s is not None:
-            data["deadline_s"] = self.deadline_s
-        if self.max_pending is not None:
-            data["max_pending"] = self.max_pending
-        return data
 
 
 def quarantined_record(question: Question) -> EvalRecord:

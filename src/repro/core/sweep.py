@@ -11,10 +11,12 @@ the sweep.
 
 Multi-sample scoring (``samples=k``) re-evaluates every question ``k``
 times through **sample-salted providers**: sample ``s`` of model ``m``
-is the same simulated architecture registered under ``m+s{s}`` — the
-quota-IRT outcome planner keys its per-question jitter on the provider
-name, so each sample is an independent draw from the model's calibrated
-per-category accuracy.  Sample 0 is the unsalted model, so a
+is the same simulated architecture named ``m+s{s}`` — the quota-IRT
+outcome planner keys its per-question jitter on the provider name, so
+each sample is an independent draw from the model's calibrated
+per-category accuracy.  The sweep builds each salted provider once and
+hands the object to its work units; the process-wide provider registry
+is never written.  Sample 0 is the unsalted registry model, so a
 ``samples=1`` sweep reproduces single-sample results exactly.  Counts
 per question feed the unbiased :func:`repro.core.metrics.pass_at_k`
 estimator and majority-vote consensus@k via
@@ -43,7 +45,7 @@ SweepRunner = Union[ParallelRunner, "SweepCoordinator"]
 
 
 def sample_provider_name(base: str, sample: int) -> str:
-    """Registry name of one sample of a model (sample 0 is unsalted)."""
+    """Provider name of one sample of a model (sample 0 is unsalted)."""
     if sample < 0:
         raise ValueError("sample index must be >= 0")
     return base if sample == 0 else f"{base}+s{sample}"
@@ -63,27 +65,6 @@ def _build_sample_provider(base: str, sample: int):
     vlm = build_vlm(base)
     vlm.name = sample_provider_name(base, sample)
     return LocalProvider(vlm)
-
-
-def ensure_sample_provider(base: str, sample: int) -> str:
-    """Register (idempotently) the salted provider; returns its name.
-
-    Sample 0 resolves to the already-registered base model.  The
-    factory closes over ``(base, sample)`` only, so with the ``fork``
-    start method process-backend workers rebuild identical providers
-    from the inherited registry.
-    """
-    name = sample_provider_name(base, sample)
-    if sample == 0:
-        return name
-    from repro.models.providers import register_provider
-
-    register_provider(
-        name,
-        lambda base=base, sample=sample: _build_sample_provider(
-            base, sample),
-        replace=True)
-    return name
 
 
 @dataclass
@@ -184,11 +165,14 @@ def run_scaled_table2(
     """Evaluate registry models over a scaled collection, streaming.
 
     ``models`` must be provider *registry names* (strings) — sample
-    salting re-registers clones, which has no meaning for ad-hoc
-    provider objects.  Shards are evaluated in windows just large enough
-    to keep the runner's workers busy (one shard per window once the
-    model x setting x sample cells outnumber the workers); each window
-    is one :meth:`~repro.core.runner.ParallelRunner.run` call, so
+    salting rebuilds clones by name, which has no meaning for ad-hoc
+    provider objects.  Sample 0 units carry the base name; every other
+    sample's units share one salted provider object, which process
+    workers and fleet nodes receive pickled.  Shards are evaluated in
+    windows just large enough to keep the runner's workers busy (one
+    shard per window once the model x setting x sample cells outnumber
+    the workers); each window is one
+    :meth:`~repro.core.runner.ParallelRunner.run` call, so
     checkpointing, retry, quarantine and backend fan-out all apply
     per-window, and no more than a window of questions is ever
     resident alongside the build cache's memory tier.
@@ -245,8 +229,8 @@ def run_scaled_table2(
     settings = [WITH_CHOICE]
     if include_challenge:
         settings.append(NO_CHOICE)
-    provider_names = {
-        (base, s): ensure_sample_provider(base, s)
+    providers = {
+        (base, s): _build_sample_provider(base, s) if s else base
         for base in models for s in range(samples)
     }
     streams = {
@@ -270,7 +254,7 @@ def run_scaled_table2(
             merged[base][setting] = multi
             for s in range(samples):
                 result = EvalResult(
-                    model_name=provider_names[(base, s)],
+                    model_name=sample_provider_name(base, s),
                     dataset_name=streams[setting].name,
                     setting=setting)
                 accumulators[(base, setting, s)] = result
@@ -309,7 +293,7 @@ def run_scaled_table2(
                         for setting in settings:
                             for s in range(samples):
                                 units.append(WorkUnit(
-                                    model=provider_names[(base, s)],
+                                    model=providers[(base, s)],
                                     dataset=shard_by_setting[setting],
                                     setting=setting))
                                 keys.append((base, setting, s))

@@ -7,13 +7,8 @@ artifacts byte-identical to a batch run.  The pieces:
 
 * :mod:`repro.service.jobs` — the in-process async job queue
   (:class:`~repro.service.jobs.JobQueue`): submit / status / streamed
-  results / cancellation, admission-gated by an
-  :class:`~repro.core.resilience.AdmissionPolicy` (backlog past
-  ``max_pending`` is *rejected*, never queued into a hang);
-* :mod:`repro.service.router` —
-  :class:`~repro.service.router.ProviderRouter`, least-loaded
-  load-balancing of whole question batches across provider replicas
-  with per-replica circuit breakers and transparent failover;
+  results / cancellation, with a backlog cap (queued plus running jobs
+  at ``max_pending`` are *rejected*, never queued into a hang);
 * :mod:`repro.service.server` — the stdlib-only HTTP layer
   (``eval-serve`` CLI) exposing the queue at ``/v1/jobs`` plus a
   Prometheus-style ``/metrics`` endpoint;
@@ -30,14 +25,12 @@ load-bench methodology (``benchmarks/bench_service_load.py``).
 from repro.service.client import EvalServiceClient, ServiceError
 from repro.service.jobs import Job, JobQueue, JobRejected
 from repro.service.metrics import render_prometheus
-from repro.service.router import ProviderRouter
 
 __all__ = [
     "EvalServiceClient",
     "Job",
     "JobQueue",
     "JobRejected",
-    "ProviderRouter",
     "ServiceError",
     "render_prometheus",
 ]

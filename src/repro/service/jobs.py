@@ -7,10 +7,10 @@ the exact substrate batch runs use, which is why a served job's
 checkpoints are byte-identical to a batch run's.  The queue adds the
 service semantics on top:
 
-* **admission** — :meth:`JobQueue.submit` consults the service's
-  :class:`~repro.core.resilience.AdmissionPolicy`: a backlog past
-  ``max_pending`` raises :class:`JobRejected` (the HTTP layer maps it
-  to 503) instead of queueing into an unbounded hang;
+* **admission** — :meth:`JobQueue.submit` counts queued plus running
+  jobs: a backlog at ``max_pending`` raises :class:`JobRejected` (the
+  HTTP layer maps it to 503) instead of queueing into an unbounded
+  hang;
 * **cancellation** — :meth:`JobQueue.cancel` flips the job's cancel
   event, which the per-job admission policy checks before every unit:
   a queued job dies immediately, a running job stops at the next unit
@@ -25,10 +25,7 @@ service semantics on top:
   memory no longer grows with the number of jobs served by their
   payloads — a finished job keeps only its status record, and only the
   :data:`MAX_FINISHED_JOBS` most recently finished jobs keep even that
-  (a forgotten job's run directory goes with its record);
-* **replicas** — ``"replicas": N`` in a spec serves each model through
-  a :class:`~repro.service.router.ProviderRouter` over N identical
-  provider instances with breaker-aware failover.
+  (a forgotten job's run directory goes with its record).
 
 Job specs (all keys except ``models`` optional)::
 
@@ -36,17 +33,18 @@ Job specs (all keys except ``models`` optional)::
      "setting": "both",              # both | standard | challenge
      "backend": "async",             # serial | thread | process | async
      "workers": 4,                   # runner fan-out within the job
-     "replicas": 1,                  # provider replicas per model
      "deadline_s": null,             # per-unit deadline
      "breaker": null,                # per-model breaker threshold
      "quarantine": false,            # salvage faulting questions
      "latency_s": 0.0,               # simulated endpoint latency
      "failure_rate": 0.0}            # simulated transient-fault rate
 
-``latency_s``/``failure_rate`` wrap each provider in a
-:class:`~repro.models.providers.RemoteStubProvider`; answers stay
-keyed on the provider *name*, so even a remote-wrapped job reproduces
-the canonical bytes.
+Each model is served by one provider: ``latency_s``/``failure_rate``
+wrap it in a :class:`~repro.models.providers.RemoteStubProvider`;
+answers stay keyed on the provider *name*, so even a remote-wrapped
+job reproduces the canonical bytes.  ``"replicas": 1`` is still
+accepted (older clients send it); any other value is refused, as
+provider replicas were removed.
 """
 
 from __future__ import annotations
@@ -58,14 +56,13 @@ import time
 import uuid
 from collections import deque
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.resilience import (
     AdmissionPolicy,
     CircuitBreaker,
     QuarantinePolicy,
 )
-from repro.service.router import ProviderRouter
 
 #: Spec values accepted for ``setting``.
 SETTINGS = ("both", "standard", "challenge")
@@ -180,18 +177,17 @@ def validate_spec(spec: Dict[str, object]) -> Dict[str, object]:
              f"spec.backend must be one of {BACKENDS}")
     workers = int(spec.get("workers", 1))
     _require(workers >= 1, "spec.workers must be >= 1")
-    replicas = int(spec.get("replicas", 1))
-    _require(replicas >= 1, "spec.replicas must be >= 1")
-    return dict(spec, setting=setting, backend=backend,
-                workers=workers, replicas=replicas)
+    _require(spec.get("replicas", 1) == 1,
+             "spec.replicas: provider replicas were removed; each model "
+             "is served by one provider, so only 1 is accepted")
+    return dict(spec, setting=setting, backend=backend, workers=workers)
 
 
 class JobQueue:
     """Thread-backed async job queue over the evaluation substrate.
 
-    ``queue_workers`` bounds concurrently *running* jobs; admission
-    (``admission.max_pending``, default :data:`DEFAULT_MAX_PENDING`)
-    bounds queued-plus-running jobs, past which :meth:`submit` raises
+    ``queue_workers`` bounds concurrently *running* jobs; ``max_pending``
+    bounds queued-plus-running jobs, at which :meth:`submit` raises
     :class:`JobRejected`.  ``run_root`` holds one checkpoint directory
     per job (a temp directory by default).  ``harness`` is shared
     across jobs — the perception caches make consecutive jobs over the
@@ -205,20 +201,19 @@ class JobQueue:
         harness=None,
         queue_workers: int = 2,
         run_root: "Optional[Path | str]" = None,
-        admission: Optional[AdmissionPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
+        max_pending: int = DEFAULT_MAX_PENDING,
     ) -> None:
         if queue_workers < 1:
             raise ValueError("queue_workers must be >= 1")
+        if max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
         if harness is None:
             from repro.core.harness import EvaluationHarness
             harness = EvaluationHarness()
         self.harness = harness
         self.run_root = (Path(run_root) if run_root is not None
                          else Path(tempfile.mkdtemp(prefix="repro-serve-")))
-        self.admission = admission or AdmissionPolicy(
-            max_pending=DEFAULT_MAX_PENDING)
-        self._clock = clock
+        self.max_pending = max_pending
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
@@ -262,10 +257,11 @@ class JobQueue:
             if self._shutdown:
                 raise JobRejected("queue is shut down")
             pending = len(self._queue) + self._running
-            refusal = self.admission.refuse_request(pending)
-            if refusal is not None:
+            if pending >= self.max_pending:
                 self._counters["jobs_rejected"] += 1
-                raise JobRejected(refusal)
+                raise JobRejected(
+                    f"queue full: {pending} job(s) pending >= "
+                    f"max_pending {self.max_pending}")
             job = Job(spec, self.run_root / "pending")
             job.run_dir = self.run_root / f"job-{job.job_id}"
             self._jobs[job.job_id] = job
@@ -367,31 +363,24 @@ class JobQueue:
                 for dataset, setting in cells]
 
     def _provider_for(self, name: str, spec: Dict[str, object]):
-        """Build one model's serving stack from the spec knobs."""
+        """One model's provider, behind the remote stub when the spec
+        asks for simulated latency or faults."""
         from repro.models.providers import (RemoteStubProvider,
                                             create_provider)
 
+        provider = create_provider(name)
         latency = float(spec.get("latency_s", 0.0) or 0.0)
         failure_rate = float(spec.get("failure_rate", 0.0) or 0.0)
-        seed = int(spec.get("seed", 0) or 0)
-
-        def build():
-            provider = create_provider(name)
-            if latency or failure_rate:
-                provider = RemoteStubProvider(
-                    provider, base_latency_s=latency,
-                    transient_rate=failure_rate, seed=seed)
-            return provider
-
-        replicas = int(spec["replicas"])  # type: ignore[index]
-        if replicas == 1:
-            return build()
-        return ProviderRouter([build() for _ in range(replicas)])
+        if latency or failure_rate:
+            provider = RemoteStubProvider(
+                provider, base_latency_s=latency,
+                transient_rate=failure_rate,
+                seed=int(spec.get("seed", 0) or 0))
+        return provider
 
     def _job_admission(self, job: Job) -> AdmissionPolicy:
         """Fold the spec's resilience knobs and the cancel event into
-        one per-job admission policy (the per-run face of the same
-        class gating this queue — docs/SERVICE.md)."""
+        one per-job admission policy (docs/SERVICE.md)."""
         spec = job.spec
         breaker = None
         if spec.get("breaker"):

@@ -40,7 +40,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.core import perfstats
-from repro.service.jobs import JobQueue, JobRejected
+from repro.service.jobs import DEFAULT_MAX_PENDING, JobQueue, JobRejected
 from repro.service.metrics import render_prometheus
 
 
@@ -211,19 +211,18 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--port", type=int, default=8377)
     parser.add_argument("--queue-workers", type=int, default=2,
                         help="concurrently running jobs (default: 2)")
-    parser.add_argument("--max-pending", type=int, default=64,
+    parser.add_argument("--max-pending", type=int,
+                        default=DEFAULT_MAX_PENDING,
                         help="queued+running jobs before 503 "
-                             "(default: 64)")
+                             "(default: %(default)s)")
     parser.add_argument("--run-root", default=None,
                         help="checkpoint root; one directory per job "
                              "(default: a temp directory)")
     args = parser.parse_args(argv)
-    from repro.core.resilience import AdmissionPolicy
-
     queue = JobQueue(
         queue_workers=args.queue_workers,
         run_root=args.run_root,
-        admission=AdmissionPolicy(max_pending=args.max_pending))
+        max_pending=args.max_pending)
     server = EvalHTTPServer((args.host, args.port), queue)
     print(f"eval-serve listening on {server.url} "
           f"(queue workers: {args.queue_workers}, "

@@ -16,7 +16,6 @@ different figures.  Cached rasters are returned read-only; call
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 
@@ -48,31 +47,13 @@ __all__ = [
     "visual_legibility",
 ]
 
-def _encode_raster(image: np.ndarray) -> dict:
-    """Spill codec: a grayscale raster as a JSON-safe payload."""
-    return {
-        "shape": list(image.shape),
-        "dtype": str(image.dtype),
-        "data": base64.b64encode(image.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_raster(payload: dict) -> np.ndarray:
-    """Spill codec inverse: rebuild a read-only raster from JSON."""
-    image = np.frombuffer(
-        base64.b64decode(payload["data"]), dtype=payload["dtype"]
-    ).reshape(payload["shape"])
-    image.setflags(write=False)
-    return image
-
 
 #: Content-keyed raster cache; 142 questions carry 144 distinct visuals,
 #: so the standard collection (and its challenge twin, which shares the
 #: same visuals and therefore the same keys) fits with room to spare.
-#: Spill-capable: rasters round-trip through base64 for the optional
-#: cross-process on-disk tier (see ``repro.core.perfstats``).
-_RENDER_CACHE = LruCache(capacity=256, name="render",
-                         spill_codec=(_encode_raster, _decode_raster))
+#: Memory only: rendering a raster costs less CPU than reading a
+#: spilled one back from disk, so it has no on-disk tier.
+_RENDER_CACHE = LruCache(capacity=256, name="render")
 
 
 def _jsonable(value):

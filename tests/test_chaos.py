@@ -556,17 +556,6 @@ class TestScaledSweepResume:
     over the same run directory, and the final ``sweep_summary.json``
     is byte-identical to an uninterrupted run's."""
 
-    @pytest.fixture(autouse=True)
-    def _pristine_provider_registry(self):
-        """Undo the sample-salted provider registrations: other test
-        modules assert the default registry's exact contents."""
-        from repro.models.providers import default_registry
-
-        before = dict(default_registry._factories)
-        yield
-        default_registry._factories.clear()
-        default_registry._factories.update(before)
-
     def test_killed_scaled_sweep_resumes_to_identical_summary(
             self, tmp_path):
         from repro.core.sweep import run_scaled_table2

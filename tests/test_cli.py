@@ -372,8 +372,6 @@ USAGE_ERRORS = [
     _row("evaluate-resolution-0", ["evaluate", "--resolution", "0"],
          "argument --resolution: must be >= 1 (got 0)"),
     # flags that mean nothing on the canonical sweep
-    _row("local-replicas", K2 + ["--replicas", "3"],
-         "--replicas 3 applies only to --service"),
     _row("local-shard-size", K2 + ["--shard-size", "5"],
          "--shard-size 5 applies only to the scaled path"),
     _row("local-spill-dir", K2 + ["--spill-dir", "spill"],
@@ -414,8 +412,6 @@ USAGE_ERRORS = [
          "--prefetch 2 applies only to the scaled path"),
     _row("local-prefetch-builder", K2 + ["--prefetch-builder", "process"],
          "--prefetch-builder process applies only to the scaled path"),
-    _row("scaled-replicas", SCALED + ["--replicas", "2"],
-         "--replicas 2 applies only to --service"),
     _row("service-nodes", SERVICE + ["--nodes", "2"],
          "--nodes 2 applies only to the canonical sweep or the scaled"),
     _row("service-rate-limit", SERVICE + ["--backend", "async",
@@ -462,8 +458,6 @@ USAGE_ERRORS = [
          "argument --samples: must be >= 1 (got 0)"),
     _row("prefetch-0", SCALED + ["--prefetch", "0"],
          "argument --prefetch: must be >= 1 (got 0)"),
-    _row("replicas-0", SERVICE + ["--replicas", "0"],
-         "argument --replicas: must be >= 1 (got 0)"),
     _row("resolution-workers-0", ["resolution", "--workers", "0"],
          "argument --workers: must be >= 1 (got 0)"),
 ]
@@ -477,7 +471,7 @@ ACCEPTED = [
     K2 + ["--nodes", "1", "--latency", "0", "--failure-rate", "0"],
     SCALED + ["--provider", "local", "--samples", "1"],
     SERVICE + ["--samples", "1", "--prefetch-builder", "thread",
-               "--nodes", "1", "--replicas", "1"],
+               "--nodes", "1"],
     SERVICE + ["--latency", "0.01", "--failure-rate", "0.1"],
     # README
     ["table2"],
@@ -502,8 +496,7 @@ ACCEPTED = [
      "--failure-rate", "0.1"],
     ["table2", "--breaker", "3", "--quarantine", "--deadline", "900"],
     ["table2", "--service", "http://127.0.0.1:8377", "--models",
-     "gpt-4o", "llava-7b", "--replicas", "2", "--metrics-out",
-     "metrics.prom"],
+     "gpt-4o", "llava-7b", "--metrics-out", "metrics.prom"],
     # the verify notes
     ["table2", "--models", "gpt-4o", "llava-7b", "--workers", "4",
      "--run-dir", "/tmp/run"],
@@ -523,8 +516,8 @@ ACCEPTED = [
     ["table2", "--models", "gpt-4o", "llava-7b", "--limit", "568",
      "--dataset-seed", "1", "--shard-size", "142", "--prefetch", "2",
      "--prefetch-builder", "process", "--run-dir", "/tmp/pq"],
-    ["table2", "--service", "http://127.0.0.1:8391", "--replicas", "2",
-     "--metrics-out", "/tmp/svc.prom"],
+    ["table2", "--service", "http://127.0.0.1:8391", "--metrics-out",
+     "/tmp/svc.prom"],
     ["show", "dig-08", "--figure", "fig.pgm"],
 ]
 

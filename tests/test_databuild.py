@@ -21,22 +21,6 @@ from repro.core.executor import dataset_from_spec
 from repro.core.question import CATEGORY_COUNTS, TOTAL_QUESTIONS
 
 
-@pytest.fixture(autouse=True)
-def _pristine_provider_registry():
-    """Undo sample-salted provider registrations after each test.
-
-    ``ensure_sample_provider`` registers ``<model>+s<i>`` clones in the
-    global default registry; other test modules assert its exact
-    contents, so leave it as found.
-    """
-    from repro.models.providers import default_registry
-
-    before = dict(default_registry._factories)
-    yield
-    default_registry._factories.clear()
-    default_registry._factories.update(before)
-
-
 # -- fixed point and variants -------------------------------------------------
 
 
@@ -396,16 +380,45 @@ def test_run_scaled_table2_single_sample_matches_direct_evaluation():
 
 
 def test_sample_salting_reuses_base_for_sample_zero():
-    from repro.core.sweep import ensure_sample_provider, \
+    from repro.core.sweep import _build_sample_provider, \
         sample_provider_name
 
     assert sample_provider_name("llava-7b", 0) == "llava-7b"
     assert sample_provider_name("llava-7b", 2) == "llava-7b+s2"
-    name = ensure_sample_provider("llava-7b", 2)
-    from repro.models.providers import create_provider
+    assert _build_sample_provider("llava-7b", 2).name == "llava-7b+s2"
 
-    provider = create_provider(name)
-    assert provider.name == "llava-7b+s2"
+
+def test_multi_sample_sweep_leaves_provider_registry_unchanged():
+    """Salted samples are built per sweep, never registered: the
+    process-wide registry is the same before and after."""
+    from repro.core.sweep import run_scaled_table2
+    from repro.models.providers import default_registry, provider_names
+
+    before = provider_names()
+    report = run_scaled_table2(["llava-7b"], 142, samples=2,
+                               include_challenge=False)
+    assert default_registry.names() == before
+    assert [sample.model_name for sample in
+            report.results["llava-7b"]["with_choice"].samples] \
+        == ["llava-7b", "llava-7b+s1"]
+
+
+def test_multi_sample_sweep_on_process_workers_matches_serial(tmp_path):
+    """Process workers receive salted providers pickled, with no
+    registry entry to resolve, and write the serial run's bytes."""
+    from repro.core.sweep import run_scaled_table2
+    from tests.test_executor import run_dir_digest
+
+    reports = {}
+    for backend, workers in (("serial", 1), ("process", 2)):
+        reports[backend] = run_scaled_table2(
+            ["llava-7b"], 142, samples=2, include_challenge=False,
+            workers=workers, backend=backend,
+            run_dir=tmp_path / backend)
+    assert (reports["process"].passk_summary((1, 2))
+            == reports["serial"].passk_summary((1, 2)))
+    assert (run_dir_digest(tmp_path / "process")
+            == run_dir_digest(tmp_path / "serial"))
 
 
 def test_sweep_summary_artifact_round_trips(tmp_path):

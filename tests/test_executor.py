@@ -195,7 +195,7 @@ class TestGoldenCrossBackend:
     """The tentpole acceptance pin: a full-zoo Table II sweep produces
     byte-identical artifacts on every backend, with and without the
     on-disk spill tier.  The spill runs perceive in raster mode, whose
-    render and legibility caches are the ones with a disk tier."""
+    legibility cache is the one with a disk tier."""
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("spill", [False, True],
@@ -246,8 +246,8 @@ class TestGoldenCrossBackend:
 
 class TestSpilledCaches:
     """Only work that costs more than a disk round trip spills: raster
-    mode's renders and legibility scores (and shard builds), never the
-    perception scores computed from them."""
+    mode's legibility scores (and shard builds), never the renders
+    beneath them or the perception scores computed from them."""
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_analytic_zoo_run_leaves_spill_dir_empty(self, backend,
@@ -266,6 +266,8 @@ class TestSpilledCaches:
 
     def test_raster_run_spills_renders_and_legibility_only(self,
                                                            tmp_path):
+        """A raster run renders and scores legibility; of that work,
+        only the legibility scores reach the disk tier."""
         spill_dir = tmp_path / "spill"
         perfstats.reset()
         runner = ParallelRunner(workers=2, backend="process",
@@ -274,13 +276,15 @@ class TestSpilledCaches:
         run_table2(["gpt-4o", "llava-7b"], runner=runner)
         written = {path.relative_to(spill_dir).parts[0]
                    for path in spill_dir.rglob("*.json")}
-        assert written == {"legibility", "render"}
+        assert written == {"legibility"}
         assert not (spill_dir / "perception").exists()
+        assert not (spill_dir / "render").exists()
         caches = runner.last_stats.perf_caches
         assert caches["perception"]["misses"] > 0
+        assert caches["render"]["misses"] > 0
         assert "spill_misses" not in caches["perception"]
+        assert "spill_misses" not in caches["render"]
         assert caches["legibility"]["spill_misses"] > 0
-        assert caches["render"]["spill_misses"] > 0
 
 
 class TestLifecycleParity:

@@ -623,16 +623,14 @@ class TestCompositeBoundary:
 
 
 class TestAdmissionPolicy:
-    """The composed admission seam both runs and the service gate on."""
+    """The composed admission seam every run (and served job) gates on."""
 
     def test_empty_policy_admits_everything(self):
         policy = AdmissionPolicy()
         assert policy.refuse_unit("gpt-4o") is None
-        assert policy.refuse_request(10 ** 6) is None
         assert policy.deadline() is None
         # no quarantine policy -> permanent faults keep failing units
         assert not policy.may_quarantine(0)
-        assert policy.as_dict() == {}
 
     def test_cancellation_refuses_units(self):
         cancelled = {"flag": False}
@@ -660,12 +658,6 @@ class TestAdmissionPolicy:
         assert "CircuitOpenError" in refusal
         assert breaker.as_dict()["fast_fails"] == {"gpt-4o": 1}
 
-    def test_refuse_request_bounds_backlog(self):
-        policy = AdmissionPolicy(max_pending=2)
-        assert policy.refuse_request(1) is None
-        refusal = policy.refuse_request(2)
-        assert "queue full" in refusal and "max_pending 2" in refusal
-
     def test_deadline_minted_per_unit(self):
         clock = FakeClock()
         policy = AdmissionPolicy(deadline_s=5.0)
@@ -677,14 +669,3 @@ class TestAdmissionPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="deadline_s"):
             AdmissionPolicy(deadline_s=-1.0)
-        with pytest.raises(ValueError, match="max_pending"):
-            AdmissionPolicy(max_pending=0)
-
-    def test_as_dict_round_trip(self):
-        policy = AdmissionPolicy(breaker=CircuitBreaker(3),
-                                 quarantine=QuarantinePolicy(),
-                                 deadline_s=2.0, max_pending=8)
-        data = policy.as_dict()
-        assert data["deadline_s"] == 2.0
-        assert data["max_pending"] == 8
-        assert data["breaker"]["failure_threshold"] == 3

@@ -3,9 +3,8 @@
 Covers the serving stack end-to-end over real HTTP sockets: golden
 byte-identity through the ``table2 --service`` driver, offset-resumable
 result streaming (including a torn connection mid-stream), mid-run job
-cancellation, replica failover under a tripped circuit breaker,
-saturation rejection (503, never a hang), and the Prometheus text
-exposition shared with ``table2 --metrics-out``.
+cancellation, saturation rejection (503, never a hang), and the
+Prometheus text exposition shared with ``table2 --metrics-out``.
 """
 
 import hashlib
@@ -19,13 +18,9 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.core.faults import TransientModelError
-from repro.core.resilience import AdmissionPolicy, CircuitBreaker
-from repro.models.providers import create_provider
 from repro.service.client import EvalServiceClient, ServiceError
 from repro.service.jobs import JobQueue, JobRejected, validate_spec
 from repro.service.metrics import render_prometheus
-from repro.service.router import ProviderRouter
 from repro.service.server import serve
 
 #: Same pin as tests/test_provider_contract.py: sha256 over the sorted
@@ -55,33 +50,6 @@ def server(tmp_path):
     srv.queue.shutdown()
 
 
-class _Flaky:
-    """A replica that fails its first ``fail_times`` calls, then
-    delegates — same name/fingerprint as its inner, so it satisfies the
-    router's identity check."""
-
-    def __init__(self, inner, fail_times):
-        self.inner = inner
-        self.fail_times = fail_times
-        self.calls = 0
-
-    @property
-    def name(self):
-        return self.inner.name
-
-    def config_fingerprint(self):
-        return self.inner.config_fingerprint()
-
-    def answer_batch(self, questions, setting, resolution_factor=1,
-                     use_raster=True):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise TransientModelError("simulated replica outage")
-        return self.inner.answer_batch(questions, setting,
-                                       resolution_factor,
-                                       use_raster=use_raster)
-
-
 class TestSpecValidation:
     def test_models_required(self):
         with pytest.raises(ValueError, match="non-empty list"):
@@ -96,6 +64,17 @@ class TestSpecValidation:
         assert spec["setting"] == "both"
         assert spec["backend"] == "async"
         assert spec["workers"] == 1
+
+    def test_replicas_other_than_one_rejected(self, server):
+        """Provider replicas were removed: a spec asking for more than
+        one is a 400 that says so, not a silently ignored key."""
+        with pytest.raises(ValueError, match="replicas were removed"):
+            validate_spec({"models": ["gpt-4o"], "replicas": 2})
+        client = EvalServiceClient(server.url)
+        with pytest.raises(ServiceError,
+                           match="400.*replicas were removed"):
+            client.submit_job({"models": ["gpt-4o"], "replicas": 2})
+        assert "repro_service_jobs_submitted 0" in client.metrics()
 
     def test_unknown_model_rejected_at_submit(self, tmp_path):
         queue = JobQueue(queue_workers=1, run_root=tmp_path)
@@ -124,6 +103,23 @@ class TestServedGoldenIdentity:
         files = sorted(run_dir.glob("*.jsonl"))
         assert len(files) == GOLDEN_TABLE2_FILES
         assert _digest_run_dir(run_dir) == GOLDEN_TABLE2_DIGEST
+
+    def test_spec_with_one_replica_reproduces_golden_digest(self, server):
+        """Clients that still send ``"replicas": 1`` are served as
+        before: the full zoo reproduces the golden digest."""
+        from pathlib import Path
+
+        from repro.models.zoo import TABLE2_ROW_ORDER
+
+        client = EvalServiceClient(server.url)
+        job_id = client.submit_job({
+            "models": [name for name, _ in TABLE2_ROW_ORDER],
+            "workers": 1, "replicas": 1})
+        assert len(client.collect(job_id)) == GOLDEN_TABLE2_FILES
+        snapshot = client.job_status(job_id)
+        assert snapshot["status"] == "completed"
+        assert (_digest_run_dir(Path(snapshot["run_dir"]))
+                == GOLDEN_TABLE2_DIGEST)
 
     def test_streamed_lines_match_checkpoint_bytes(self, server):
         """The stream IS the artifact: every line a client receives is
@@ -214,63 +210,6 @@ class TestCancellation:
         assert len(remaining) + 1 < 8
 
 
-class TestRouterFailover:
-    def test_identity_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="one provider name"):
-            ProviderRouter([create_provider("gpt-4o"),
-                            create_provider("kosmos-2")])
-
-    def test_failover_on_mid_call_fault(self, chipvqa):
-        healthy = create_provider("gpt-4o")
-        flaky = _Flaky(create_provider("gpt-4o"), fail_times=1)
-        router = ProviderRouter([flaky, healthy])
-        questions = list(chipvqa)[:3]
-        answers = router.answer_batch(questions, "with_choice")
-        assert len(answers) == 3
-        stats = router.stats()
-        assert stats["failovers"] == 1
-        assert stats["dispatches"] == [1, 1]
-
-    def test_tripped_breaker_ejects_replica(self, chipvqa):
-        """Once the flaky replica's circuit opens, traffic routes to
-        the healthy replica without even trying the ejected one."""
-        healthy = create_provider("gpt-4o")
-        flaky = _Flaky(create_provider("gpt-4o"), fail_times=10 ** 9)
-        router = ProviderRouter([flaky, healthy], failure_threshold=2)
-        questions = list(chipvqa)[:2]
-        for _ in range(5):
-            router.answer_batch(questions, "with_choice")
-        # two failures tripped the breaker; after that the flaky
-        # replica's call count stops growing
-        assert flaky.calls == 2
-        stats = router.stats()
-        assert stats["failovers"] == 2
-        assert stats["ejections"] >= 3
-        assert stats["breaker"]["open"] == ["replica-0"]
-
-    def test_all_ejected_raises_transient(self, chipvqa):
-        flaky = _Flaky(create_provider("gpt-4o"), fail_times=10 ** 9)
-        breaker = CircuitBreaker(1)
-        router = ProviderRouter([flaky], breaker=breaker)
-        questions = list(chipvqa)[:1]
-        with pytest.raises(TransientModelError):
-            router.answer_batch(questions, "with_choice")
-        with pytest.raises(TransientModelError, match="ejected"):
-            router.answer_batch(questions, "with_choice")
-
-    def test_served_job_with_replicas(self, server):
-        """A replicated job still reproduces the canonical bytes —
-        routing is invisible in the artifacts."""
-        client = EvalServiceClient(server.url)
-        solo = client.submit_job({"models": ["kosmos-2"],
-                                  "backend": "serial"})
-        replicated = client.submit_job({"models": ["kosmos-2"],
-                                        "backend": "serial",
-                                        "replicas": 3})
-        assert sorted(client.collect(solo)) == sorted(
-            client.collect(replicated))
-
-
 class TestClientRetry:
     def test_torn_stream_resumes_from_offset(self, server):
         """A connection reset mid-stream is retried with backoff and
@@ -313,7 +252,7 @@ class TestClientRetry:
 class TestSaturation:
     def test_queue_rejects_past_max_pending(self, tmp_path):
         queue = JobQueue(queue_workers=1, run_root=tmp_path,
-                         admission=AdmissionPolicy(max_pending=1))
+                         max_pending=1)
         try:
             blocker = queue.submit({"models": ["gpt-4o"],
                                     "backend": "serial",
@@ -327,8 +266,7 @@ class TestSaturation:
             queue.shutdown()
 
     def test_http_503_raises_job_rejected(self, tmp_path):
-        srv = serve(queue_workers=1, run_root=tmp_path,
-                    admission=AdmissionPolicy(max_pending=1))
+        srv = serve(queue_workers=1, run_root=tmp_path, max_pending=1)
         try:
             client = EvalServiceClient(srv.url)
             blocker = client.submit_job({"models": ["gpt-4o"],
@@ -341,6 +279,31 @@ class TestSaturation:
         finally:
             srv.shutdown()
             srv.queue.shutdown()
+
+    def test_refusal_names_the_backlog_and_the_cap(self, tmp_path):
+        """The cap counts queued plus running jobs: with one running
+        and one queued, a cap of 2 admits nothing more, and the refusal
+        says how full the queue is."""
+        queue = JobQueue(queue_workers=1, run_root=tmp_path,
+                         max_pending=2)
+        try:
+            slow = {"models": ["gpt-4o"], "backend": "serial",
+                    "latency_s": 0.2}
+            running = queue.submit(slow)
+            queued = queue.submit(slow)
+            with pytest.raises(JobRejected) as excinfo:
+                queue.submit({"models": ["kosmos-2"]})
+            assert str(excinfo.value) == (
+                "queue full: 2 job(s) pending >= max_pending 2")
+            for job in (queued, running):
+                queue.cancel(job.job_id)
+                assert job.wait(timeout=60)
+        finally:
+            queue.shutdown()
+
+    def test_max_pending_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="max_pending"):
+            JobQueue(queue_workers=1, run_root=tmp_path, max_pending=0)
 
     def test_shutdown_queue_rejects(self, tmp_path):
         queue = JobQueue(queue_workers=1, run_root=tmp_path)
